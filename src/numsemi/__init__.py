@@ -1,9 +1,10 @@
 """Exact arithmetic on numerical semigroups.
 
-Gap sets, first minimal relation matrices, closed-form Frobenius numbers,
-genera and Hilbert-series numerators for three generators, gap diagrams,
-higher genera, sparsity bounds for four or more generators, and exact
-falsification of power-law Frobenius bounds.
+Apéry sets and the gap sets read off them, first minimal relation
+matrices, closed-form Frobenius numbers, genera and Hilbert-series
+numerators for three generators, gap diagrams, higher genera, sparsity
+bounds for four or more generators, and exact falsification of power-law
+Frobenius bounds.
 """
 
 from .bounds import (
@@ -31,9 +32,12 @@ from .closedform import (
     symmetric_closed,
 )
 from .core import (
+    MAX_GAPS,
+    AperySet,
     Generators,
     GapSet,
     SylvesterResult,
+    apery_set,
     gap_set,
     hilbert_numerator,
     is_representable,
@@ -78,6 +82,7 @@ from .errors import (
     NuTooLarge,
     StandardFormViolation,
     SymmetricInput,
+    TooManyGaps,
     TooShort,
     ValidationError,
 )

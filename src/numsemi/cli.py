@@ -24,6 +24,7 @@ from .bounds import (
 from .closedform import frobenius3
 from .core import (
     Generators,
+    apery_set,
     gap_set,
     hilbert_numerator,
     validate_generators,
@@ -99,7 +100,7 @@ def _cmd_frob(args):
               else "non-symmetric", "inner": cf.inner, "L1": cf.L1, "L2": cf.L2}
     if args.verify:
         gs = gap_set(g)
-        if (gs.frobenius, gs.genus) != (cf.F, cf.G) or hilbert_numerator(g, gs) != cf.Q:
+        if (gs.frobenius, gs.genus) != (cf.F, cf.G) or hilbert_numerator(g) != cf.Q:
             raise InternalMismatch(f"closed form disagrees with the oracle for {g}")
         result["verified"] = True
     pairs = [(k, result[k]) for k in ("F", "G", "J", "kind", "inner", "L1", "L2")]
@@ -120,11 +121,11 @@ def _cmd_relation(args):
 
 def _cmd_hilbert(args):
     g = validate_generators(args.d)
-    gs = gap_set(g)
-    Q = hilbert_numerator(g, gs)
+    ap = apery_set(g)
+    Q = hilbert_numerator(g)
     result = {"numerator": _poly_dict(Q), "degree": Q.degree,
               "nonzero_count": Q.nonzero_count(), "num_monomials": Q.num_monomials(),
-              "F": gs.frobenius, "genus": gs.genus}
+              "F": ap.frobenius, "genus": ap.genus}
     human = Q.format() + "\n" + _kv_lines(
         [("degree", Q.degree), ("nonzero_count", Q.nonzero_count())])
     return {"d": list(g.elements)}, result, human

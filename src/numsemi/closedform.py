@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import (
     Generators,
-    gap_set,
+    apery_set,
     is_representable,
     sylvester_closed,
     validate_generators,
@@ -200,7 +200,7 @@ def frobenius_any(elements) -> int:
         return sylvester_closed(elems[0], elems[1]).F
     if len(elems) == 3:
         return frobenius3(g).F
-    return gap_set(g).frobenius
+    return apery_set(g).frobenius
 
 
 def johnson_reduce(d1: int, d2: int, d3: int) -> int:

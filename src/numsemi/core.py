@@ -1,12 +1,18 @@
-"""Generator tuples, representability, gap sets, and Hilbert-series numerators.
+"""Generator tuples, representability, Apéry sets, gap sets, and
+Hilbert-series numerators.
 
-The gap-set enumeration here is the brute-force oracle every closed form in
-the other modules is tested against, so it stays deliberately dumb: bitmask
-reachability over 0..bound, nothing clever.
+Everything this package enumerates about S = <d_1, ..., d_m> is read off one
+structure, the Apéry set of d_1: w[r], the least element of S congruent to r
+mod d_1.  The round-robin algorithm builds it in O(m*d_1) steps, and F, the
+genus, the gap list, the numerator Q and the symmetry test all follow from
+it.  Bitmask reachability (reachable_mask) answers the membership questions
+of validation and the relation-matrix search; the test suite keeps a bitmask
+gap-set DP as the independent reference the Apéry route is compared against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
@@ -17,6 +23,7 @@ from .errors import (
     InvalidInput,
     NotCoprime,
     NotMinimal,
+    TooManyGaps,
     TooShort,
 )
 from .polynomial import SparsePolynomial
@@ -144,43 +151,80 @@ def validate_generators(raw) -> Generators:
     return Generators(tuple(elems))
 
 
-# --- gap sets ---------------------------------------------------------------
+# --- Apéry sets and gap sets -----------------------------------------------
 
-def _gap_bound(elems) -> Optional[int]:
-    """Sylvester bound from the best coprime pair, else None."""
-    best = None
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            a, b = elems[i], elems[j]
-            if math.gcd(a, b) == 1:
-                f = a * b - a - b
-                if best is None or f < best:
-                    best = f
-    return best
+# Largest genus gap_set lists.  Above it gap_set raises TooManyGaps before it
+# allocates anything; F and the genus of such semigroups still come from
+# apery_set in O(m*d_1).  The largest gap set the tests and the benchmark
+# build, for (699, 1048, 1397), has 243,602 gaps.
+MAX_GAPS = 2_000_000
+
+
+@dataclass(frozen=True)
+class AperySet:
+    """Ap(S, d_1): w[r] is the least element of S congruent to r mod d_1."""
+
+    w: tuple
+
+    @property
+    def frobenius(self) -> int:
+        return max(self.w) - len(self.w)
+
+    @property
+    def genus(self) -> int:
+        # residue r holds the gaps r, r + d_1, ..., w[r] - d_1 (Selmer)
+        d1 = len(self.w)
+        return sum(x // d1 for x in self.w)
+
+    def is_symmetric(self) -> bool:
+        """Definition-based: max(w) - x lies in Ap for every x in Ap."""
+        top = max(self.w)
+        members = set(self.w)
+        return all(top - x in members for x in self.w)
+
+
+def apery_set(g: Generators) -> AperySet:
+    """Round-robin algorithm (Böcker & Lipták 2007), O(m*d_1) steps.
+
+    Adding generator b to the semigroup of d_1 and the earlier generators
+    splits the residues mod d_1 into gcd(d_1, b) cycles of r -> r + b.  Each
+    cycle is walked once around from its least entry, relaxing
+    w[r + b] <= w[r] + b, which settles it.
+    """
+    d1 = g.elements[0]
+    w = [math.inf] * d1
+    w[0] = 0
+    for b in g.elements[1:]:
+        cycles = math.gcd(d1, b)
+        for p in range(cycles):
+            n = min(w[p::cycles])
+            if n == math.inf:
+                continue
+            for _ in range(d1 // cycles - 1):
+                n += b
+                r = n % d1
+                if w[r] < n:
+                    n = w[r]
+                else:
+                    w[r] = n
+    return AperySet(tuple(w))
 
 
 def gap_set(g: Generators) -> GapSet:
-    """Exact gap set via reachability DP.  This is the oracle."""
-    elems = g.elements
-    bound = _gap_bound(elems)
-    if bound is not None:
-        mask = reachable_mask(elems, bound) if bound >= 0 else 1
-        # one linear pass over a bit string; per-n shifts would be quadratic
-        bits = format(mask, "b")[::-1].ljust(bound + 2, "0")
-        gaps = [n for n in range(1, bound + 1) if bits[n] == "0"]
-        return GapSet(tuple(gaps))
-    # No coprime pair: grow until d_1 consecutive representable integers
-    # appear; from there on everything is representable (keep adding d_1).
-    d1 = elems[0]
-    hi = 4 * elems[-1] ** 2
-    while True:
-        mask = reachable_mask(elems, hi)
-        bits = format(mask, "b")[::-1]
-        idx = bits.find("1" * d1)
-        if idx >= 0:
-            gaps = [n for n in range(1, idx) if bits[n] == "0"]
-            return GapSet(tuple(gaps))
-        hi *= 2
+    """Exact gap set read off the Apéry set, in time linear in the genus.
+
+    Raises TooManyGaps when the genus exceeds MAX_GAPS.
+    """
+    d1 = g.elements[0]
+    # every residue r != 0 holds at least the gap r, so G >= d_1 - 1
+    if d1 - 1 > MAX_GAPS:
+        raise TooManyGaps(f"{g} has at least {d1 - 1} gaps, more than {MAX_GAPS}")
+    ap = apery_set(g)
+    genus = ap.genus
+    if genus > MAX_GAPS:
+        raise TooManyGaps(f"{g} has {genus} gaps, more than {MAX_GAPS}")
+    runs = (range(r, w, d1) for r, w in enumerate(ap.w))
+    return GapSet(tuple(sorted(itertools.chain.from_iterable(runs))))
 
 
 def is_symmetric_gapset(gs: GapSet) -> bool:
@@ -221,22 +265,18 @@ def sylvester_closed(d1: int, d2: int) -> SylvesterResult:
     return SylvesterResult(F, G, SparsePolynomial.one_minus_z(d1 * d2), 2 * G)
 
 
-def hilbert_numerator(g: Generators, gs: Optional[GapSet] = None) -> SparsePolynomial:
-    """Q with H = Q / prod(1 - z^d_j), via the gap generating function:
+def hilbert_numerator(g: Generators) -> SparsePolynomial:
+    """Q with H = Q / prod(1 - z^d_j), from the Apéry set of d_1:
 
-        Q = prod_{j=2}^{m} (1 - z^{d_j}) * [ sum_{k<d_1} z^k - (1 - z^{d_1}) Phi ]
+        Q = prod_{j=2}^{m} (1 - z^{d_j}) * sum_r z^{w[r]}
     """
-    if gs is None:
-        gs = gap_set(g)
-    d = g.elements
-    phi = phi_polynomial(gs)
-    bracket = SparsePolynomial.geometric(d[0]) - SparsePolynomial.one_minus_z(d[0]) * phi
-    q = bracket
-    for dj in d[1:]:
+    ap = apery_set(g)
+    q = SparsePolynomial.from_exponents(ap.w)
+    for dj in g.elements[1:]:
         q = q * SparsePolynomial.one_minus_z(dj)
-    if q.degree != gs.frobenius + g.sum():
+    if q.degree != ap.frobenius + g.sum():
         raise InternalMismatch(
-            f"deg Q = {q.degree} != F + sum(d) = {gs.frobenius + g.sum()} for {g}"
+            f"deg Q = {q.degree} != F + sum(d) = {ap.frobenius + g.sum()} for {g}"
         )
     return q
 
@@ -253,7 +293,7 @@ def verify_hilbert_identity(g: Generators, gs: Optional[GapSet] = None) -> bool:
     """
     if gs is None:
         gs = gap_set(g)
-    q = hilbert_numerator(g, gs)
+    q = hilbert_numerator(g)
     n = q.degree
     mask = reachable_mask(g.elements, n)
     s_trunc = SparsePolynomial({k: 1 for k in range(n + 1) if mask >> k & 1})

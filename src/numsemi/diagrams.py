@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Generators, GapSet, gap_set, phi_polynomial, representable_pair
+from .core import Generators, GapSet, apery_set, gap_set, representable_pair
 from .errors import (
     IdentityViolation,
     IndexOutOfRange,
@@ -143,8 +143,8 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
     """The d1 cell values of the two-rectangle lambda diagram (non-symmetric).
 
     Rectangles in (v2, v3): [0, a22) x [0, a13) and [0, a12) x [a13, a33).
-    With verify=True the generating identity
-    sum z^lambda = sum_{k<d1} z^k - (1 - z^{d1}) * Phi is checked.
+    With verify=True the cell values must equal the Apéry set of d1, which is
+    equivalent to sum z^lambda = sum_{k<d1} z^k - (1 - z^{d1}) * Phi.
     """
     if g.m != 3:
         raise InvalidInput(f"need a triple, got m={g.m}")
@@ -165,26 +165,20 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
     if len(entries) != d1 or len(set(values)) != d1 or values[0] != 0:
         raise IdentityViolation(
             f"lambda diagram of {g} has {len(set(values))} distinct cells, want {d1}")
-    if verify:
-        phi = phi_polynomial(gap_set(g))
-        lhs = SparsePolynomial.from_exponents(values)
-        rhs = (SparsePolynomial.geometric(d1)
-               - SparsePolynomial.one_minus_z(d1) * phi)
-        if lhs != rhs:
-            raise IdentityViolation(f"lambda generating identity fails for {g}")
+    if verify and values != sorted(apery_set(g).w):
+        raise IdentityViolation(f"lambda cells of {g} are not its Apéry set")
     return LambdaSet(entries, tuple(values))
 
 
 def shift_difference_identity(g: Generators, A: Optional[RelationMatrix] = None) -> bool:
     """(1 - z^{d2}) * [sum_{k<d1} z^k - (1 - z^{d1}) Phi] telescopes to the
-    left/right edge columns of the lambda diagram."""
+    left/right edge columns of the lambda diagram.  The bracket is the sum of
+    z^w over the Apéry set of d1."""
     if A is None:
         A = relation_matrix(g)
-    d1, d2, d3 = g.elements
+    _, d2, d3 = g.elements
     a = A.entry
-    phi = phi_polynomial(gap_set(g))
-    bracket = (SparsePolynomial.geometric(d1)
-               - SparsePolynomial.one_minus_z(d1) * phi)
+    bracket = SparsePolynomial.from_exponents(apery_set(g).w)
     lhs = SparsePolynomial.one_minus_z(d2) * bracket
     left = SparsePolynomial.from_exponents([v3 * d3 for v3 in range(a(3, 3))])
     right = (SparsePolynomial.from_exponents(

@@ -74,6 +74,10 @@ class NuTooLarge(ValidationError):
     pass
 
 
+class TooManyGaps(ValidationError):
+    pass
+
+
 # --- invariant violations --------------------------------------------------
 
 class InternalMismatch(InternalError):

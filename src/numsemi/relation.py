@@ -13,9 +13,7 @@ from typing import Optional
 
 from .core import (
     Generators,
-    GapSet,
-    gap_set,
-    is_symmetric_gapset,
+    apery_set,
     reachable_mask,
     representable_pair,
 )
@@ -143,8 +141,9 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
              cross_check: Optional[bool] = None) -> Classification:
     """Symmetric iff some diagonal products a_ii*d_i collide.
 
-    The matrix verdict is cross-checked against the definition-based gap-set
-    test whenever the gap set is cheap to enumerate (or cross_check=True).
+    The matrix verdict is cross-checked against the definition-based Apéry
+    symmetry test whenever _cheap_gap_bound(g) <= 5*10^6 (or
+    cross_check=True).
     """
     if g.m != 3:
         raise DimensionUnsupported(f"classify needs m=3, got m={g.m}")
@@ -170,7 +169,7 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
     if cross_check is None:
         cross_check = _cheap_gap_bound(g) <= 5_000_000
     if cross_check:
-        if is_symmetric_gapset(gap_set(g)) != symmetric:
+        if apery_set(g).is_symmetric() != symmetric:
             raise InternalMismatch(f"matrix/definition symmetry disagree for {g}")
     return Classification(symmetric, pair, collision)
 

@@ -15,12 +15,12 @@ from numsemi import (
     RelationMatrix,
     classify,
     closed_form,
-    gap_set,
     relation_matrix,
     symmetric_closed,
     validate_generators,
 )
 from numsemi.errors import ValidationError
+from oracle import gap_set_bitmask
 
 _TITLES = {
     1: "golden examples reproduce exactly",
@@ -103,11 +103,11 @@ def sweep60():
 
 @pytest.fixture(scope="session")
 def sweep30_gaps():
-    """d3 <= 30 triples with gap sets included (for oracle-facing tests)."""
+    """d3 <= 30 triples with their bitmask-oracle gap sets."""
     entries = []
     for g in valid_triples(30):
         A = relation_matrix(g)
         cls = classify(g, A, cross_check=False)
         cf = symmetric_closed(g, A, cls) if cls.symmetric else closed_form(g, A, cls)
-        entries.append((SweepEntry(g, A, cls, cf), gap_set(g)))
+        entries.append((SweepEntry(g, A, cls, cf), gap_set_bitmask(g)))
     return entries

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from numsemi import (
     SparsePolynomial,
+    classify,
     conjecture_bound_check,
     counterexample_family,
     critical_l,
@@ -38,6 +39,7 @@ from numsemi import (
     validate_generators,
     verify_standard_form,
 )
+from oracle import gap_set_bitmask
 
 
 def test_criterion_1_golden_examples(acceptance):
@@ -70,7 +72,7 @@ def test_criterion_1_golden_examples(acceptance):
         assert tuple(cf.Q.items()) == q_items, elems
         gs = gap_set(g)
         assert (gs.frobenius, gs.genus) == (F, G), elems
-        assert hilbert_numerator(g, gs) == cf.Q, elems
+        assert hilbert_numerator(g) == cf.Q, elems
 
     # symmetric triple: gap set, numerator, F, G
     g = validate_generators((4, 5, 6))
@@ -85,7 +87,7 @@ def test_criterion_1_golden_examples(acceptance):
     assert gs4a.gaps == (1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19,
                          22, 23, 27, 31, 35, 39)
     assert gs4a.genus == 21
-    q4a = hilbert_numerator(g4a, gs4a)
+    q4a = hilbert_numerator(g4a)
     assert q4a.nonzero_count() == 18
     assert q4a == SparsePolynomial({
         0: 1, 42: -1, 47: -1, 52: -1, 64: -1, 68: 1, 69: -1, 73: 1, 85: 1,
@@ -96,7 +98,7 @@ def test_criterion_1_golden_examples(acceptance):
     assert gs4b.gaps == (1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19,
                          21, 22, 23, 25, 26, 27, 29, 30, 33, 34, 38, 42, 46)
     assert gs4b.genus == 28
-    q4b = hilbert_numerator(g4b, gs4b)
+    q4b = hilbert_numerator(g4b)
     assert q4b.nonzero_count() == 18
     assert q4b == SparsePolynomial({
         0: 1, 62: -1, 68: -1, 74: -1, 81: -1, 87: -1, 99: 1, 100: -1, 105: 1,
@@ -181,9 +183,11 @@ def test_criterion_4_oracle_sweep(acceptance, sweep60):
     t0 = time.monotonic()
     checked = 0
     for e in sweep60:
-        gs = gap_set(e.g)
+        gs = gap_set_bitmask(e.g)
+        assert gap_set(e.g) == gs, e.g
+        classify(e.g, e.A, cross_check=True)  # Apéry symmetry == matrix verdict
         assert (gs.frobenius, gs.genus) == (e.cf.F, e.cf.G), e.g
-        assert hilbert_numerator(e.g, gs) == e.cf.Q, e.g
+        assert hilbert_numerator(e.g) == e.cf.Q, e.g
         assert delta3_via_diagram(e.g).gaps == gs.gaps, e.g
         if not e.cls.symmetric:
             lambda_set(e.g, e.A, verify=True)  # rectangle-count + identity
@@ -282,7 +286,7 @@ def test_criterion_6_structural_numerators(acceptance, sweep60):
     for elems in ((4, 21, 26, 43), (4, 31, 37, 50)):
         g = validate_generators(elems)
         gs = gap_set(g)
-        q = hilbert_numerator(g, gs)
+        q = hilbert_numerator(g)
         assert q.degree - g.sum() == gs.frobenius
         assert q.coeff(0) == 1 and q.eval_at(1) == 0
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,25 @@ def test_hilbert_output(capsys):
     assert out.splitlines()[0] == "1 - z^10 - z^12 + z^22"
     assert "degree = 22" in out
     assert "nonzero_count = 4" in out
+
+
+def test_hilbert_large_triple_reads_f_and_genus_off_apery(capsys):
+    # 2.5*10^9 gaps: F and the genus come from the d1 Apéry elements
+    code, out, _ = run(capsys, "hilbert", "100001", "100003", "200003", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["F"], res["genus"]) == ("5000149999", "2500100000")
+    assert res["degree"] == str(5000149999 + 100001 + 100003 + 200003)
+
+
+def test_oversized_gap_listing_exits_2(capsys):
+    t0 = time.monotonic()
+    for command in ("gaps", "genera"):
+        code, out, err = run(capsys, command, "10001", "10003", "20003")
+        assert code == 2 and out == ""
+        assert err.startswith("error: TooManyGaps:")
+        assert "25010000 gaps" in err
+    assert time.monotonic() - t0 < 5  # refused before any gap is listed
 
 
 def test_genera_output(capsys):

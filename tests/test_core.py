@@ -1,14 +1,18 @@
-"""Gap-set oracle, representability, validation, and Hilbert numerators."""
+"""Apéry sets and gap sets against the bitmask oracle, representability,
+validation, and Hilbert numerators."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsemi import (
+    MAX_GAPS,
     Generators,
     SparsePolynomial,
+    apery_set,
+    classify,
     frobenius_any,
     gap_set,
     hilbert_numerator,
@@ -22,7 +26,8 @@ from numsemi import (
     validate_generators,
     verify_hilbert_identity,
 )
-from numsemi.errors import ContainsUnit, NotCoprime, NotMinimal, TooShort
+from numsemi.errors import ContainsUnit, NotCoprime, NotMinimal, TooManyGaps, TooShort
+from oracle import gap_set_bitmask
 
 
 def test_validate_sorts_and_normalizes():
@@ -69,12 +74,40 @@ def test_gap_set_goldens():
 
 
 def test_gap_set_without_coprime_pair():
-    # all pairwise gcds exceed 1, so the Sylvester bound is unavailable and
-    # the oracle has to detect the conductor from a run of representables
-    gs = gap_set(validate_generators((6, 10, 15)))
+    # all pairwise gcds exceed 1: the Apéry walk splits the residues mod 6
+    # into several cycles per generator, and the bitmask oracle has to detect
+    # the conductor from a run of representables
+    g = validate_generators((6, 10, 15))
+    gs = gap_set(g)
     assert gs.frobenius == 29
     assert gs.genus == 15
     assert 30 not in gs.gaps and 29 in gs.gaps
+    assert gs == gap_set_bitmask(g)
+
+
+def test_apery_set_goldens():
+    ap = apery_set(validate_generators((4, 5, 6)))
+    assert ap.w == (0, 5, 6, 11)
+    assert (ap.frobenius, ap.genus) == (7, 4) and ap.is_symmetric()
+    ap = apery_set(validate_generators((6, 10, 15)))
+    assert ap.w == (0, 25, 20, 15, 10, 35)
+    assert (ap.frobenius, ap.genus) == (29, 15) and ap.is_symmetric()
+    ap = apery_set(validate_generators((3, 4, 5)))
+    assert ap.w == (0, 4, 5)
+    assert (ap.frobenius, ap.genus) == (2, 2) and not ap.is_symmetric()
+
+
+def test_gap_set_refuses_oversized_listings():
+    # the largest gap set the test suite and the benchmark list
+    assert gap_set(validate_generators((699, 1048, 1397))).genus == 243_602 <= MAX_GAPS
+    # genus 25,010,000, read off the Apéry set without listing a gap
+    g = validate_generators((10001, 10003, 20003))
+    assert apery_set(g).genus == 25_010_000
+    with pytest.raises(TooManyGaps):
+        gap_set(g)
+    # d1 - 1 > MAX_GAPS is refused before the Apéry set is built
+    with pytest.raises(TooManyGaps):
+        gap_set(validate_generators((MAX_GAPS + 2, MAX_GAPS + 3)))
 
 
 def test_sylvester_matches_oracle():
@@ -169,3 +202,38 @@ def test_membership_is_additively_closed(elems, t):
     if is_representable(t, g):
         for d in g.elements:
             assert is_representable(t + d, g)
+
+
+@st.composite
+def generator_tuples(draw):
+    """Minimal generating tuples with m = 3..6 and d1 up to 300.
+
+    Half of the later generators share a factor with d1, so the Apéry walk
+    meets gcd(d1, d_j) > 1; redundant elements are dropped before m is checked.
+    """
+    m = draw(st.integers(3, 6))
+    d1 = draw(st.integers(3, 300))
+    factors = [k for k in range(1, d1) if d1 % k == 0]
+    elems = {d1}
+    for _ in range(m - 1):
+        k = draw(st.sampled_from(factors)) if draw(st.booleans()) else 1
+        elems.add(k * draw(st.integers(d1 // k + 1, 4 * d1 // k)))
+    kept = []
+    for e in sorted(elems):  # only smaller elements can represent e
+        if not reachable_mask(kept, e) >> e & 1:
+            kept.append(e)
+    assume(len(kept) >= 3 and math.gcd(*kept) == 1)
+    return validate_generators(kept)
+
+
+@settings(deadline=None, max_examples=200)
+@given(generator_tuples())
+@example(validate_generators((6, 10, 15)))  # no coprime pair
+def test_apery_route_matches_bitmask_oracle(g):
+    oracle = gap_set_bitmask(g)
+    ap = apery_set(g)
+    assert gap_set(g) == oracle
+    assert (ap.frobenius, ap.genus) == (oracle.frobenius, oracle.genus)
+    assert ap.is_symmetric() == is_symmetric_gapset(oracle)
+    if g.m == 3:
+        assert classify(g, cross_check=False).symmetric == is_symmetric_gapset(oracle)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numsemi import (
     DiagramGrid,
     LambdaSet,
+    RelationMatrix,
     SparsePolynomial,
     associated_set,
     coprime_base,
@@ -27,6 +28,7 @@ from numsemi import (
     validate_generators,
 )
 from numsemi.errors import (
+    IdentityViolation,
     IndexOutOfRange,
     InvalidInput,
     NoCoprimeBasePair,
@@ -190,6 +192,18 @@ def test_lambda_set_goldens():
 
     with pytest.raises(SymmetricInput):
         lambda_set(validate_generators((4, 5, 6)))
+
+
+def test_lambda_set_verify_rejects_a_wrong_matrix():
+    g = validate_generators((23, 29, 44))
+    A = relation_matrix(g)
+    assert (A.entry(2, 2), A.entry(1, 3), A.entry(1, 2), A.entry(3, 3)) == (7, 3, 1, 5)
+    # a12 = 2, a33 = 4 keeps 7*3 + 2*1 = 23 distinct cells from 0, so only
+    # the comparison with the Apéry set can tell the diagram is wrong
+    bad = RelationMatrix(3, (7, 7, 4), ((0, 2, 3), A.off[1], A.off[2]))
+    assert len(lambda_set(g, bad, verify=False).values) == 23
+    with pytest.raises(IdentityViolation):
+        lambda_set(g, bad, verify=True)
 
 
 def test_lambda_set_structure(sweep30_gaps):

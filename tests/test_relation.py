@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import numsemi.relation
 from numsemi import (
     Generators,
     RelationMatrix,
@@ -18,6 +19,7 @@ from numsemi import (
 )
 from numsemi.errors import (
     DimensionUnsupported,
+    InternalMismatch,
     StandardFormViolation,
     SymmetricInput,
 )
@@ -109,6 +111,49 @@ def test_classify_goldens():
 def test_classify_agrees_with_definition(sweep30_gaps):
     for entry, gs in sweep30_gaps[::3]:
         assert entry.cls.symmetric == is_symmetric_gapset(gs)
+
+
+def test_classify_cross_check_catches_a_wrong_verdict():
+    # (3, 4, 5) is not symmetric, but this matrix makes a_11*d_1 and a_22*d_2
+    # collide at lcm(3, 4) = 12
+    g = validate_generators((3, 4, 5))
+    fake_sym = RelationMatrix(3, (4, 3, 2), ((0, 1, 1), (1, 0, 1), (2, 1, 0)))
+    assert classify(g, fake_sym, cross_check=False).symmetric
+    with pytest.raises(InternalMismatch):
+        classify(g, fake_sym, cross_check=True)
+    # (4, 5, 6) is symmetric; a diagonal without a collision says it is not
+    g = validate_generators((4, 5, 6))
+    fake_non = RelationMatrix(3, (3, 3, 3), ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    assert not classify(g, fake_non, cross_check=False).symmetric
+    with pytest.raises(InternalMismatch):
+        classify(g, fake_non, cross_check=True)
+    with pytest.raises(InternalMismatch):
+        classify(g, fake_non)  # below the gate the check runs by default
+
+
+def test_classify_cross_check_gate(monkeypatch):
+    # by default the check runs iff the smallest coprime product d_i*d_j
+    # (4*d_3^2 without a coprime pair) is at most 5*10^6
+    checked = []
+    apery_set = numsemi.relation.apery_set
+
+    def spy(g):
+        checked.append(g.elements)
+        return apery_set(g)
+
+    monkeypatch.setattr(numsemi.relation, "apery_set", spy)
+    expected = {
+        (2235, 2237, 2239): True,    # 2235*2237 = 4,999,695
+        (2237, 2239, 2241): False,   # 2237*2239 = 5,008,643
+        (1000, 1002, 4999): True,    # gcd(d1, d2) = 2; 1000*4999 = 4,999,000
+        (1000, 1002, 5001): False,   # 1000*5001 = 5,001,000
+        (6, 74, 111): True,          # no coprime pair; 4*111^2 = 49,284
+        (6, 802, 1203): False,       # no coprime pair; 4*1203^2 = 5,788,836
+    }
+    for elems, runs in expected.items():
+        checked.clear()
+        classify(validate_generators(elems))
+        assert bool(checked) == runs, elems
 
 
 def test_classify_dimension_guard():
