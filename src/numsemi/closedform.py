@@ -43,11 +43,10 @@ class ClosedForm3:
     Q: SparsePolynomial
 
 
-def j_invariant(g: Generators, A: Optional[RelationMatrix] = None) -> int:
-    """J via the discriminant square root, cross-checked against the
-    antisymmetric product difference."""
-    if A is None:
-        A = relation_matrix(g)
+def _inner_cross_j(g: Generators, A: RelationMatrix) -> tuple:
+    """(<a, d>, cross, J): L1 and L2 are the roots of z^2 - <a, d> z + cross,
+    and J, the square root of their discriminant, is cross-checked against
+    the antisymmetric product difference."""
     d1, d2, d3 = g.elements
     a = A.entry
     inner = a(1, 1) * d1 + a(2, 2) * d2 + a(3, 3) * d3
@@ -59,7 +58,14 @@ def j_invariant(g: Generators, A: Optional[RelationMatrix] = None) -> int:
     if root * root != disc or root != alt:
         raise InternalMismatch(
             f"J disagreement for {g}: disc={disc}, isqrt={root}, product diff={alt}")
-    return root
+    return inner, cross, root
+
+
+def j_invariant(g: Generators, A: Optional[RelationMatrix] = None) -> int:
+    """J = |L1 - L2|, checked two ways (see _inner_cross_j)."""
+    if A is None:
+        A = relation_matrix(g)
+    return _inner_cross_j(g, A)[2]
 
 
 def closed_form(g: Generators, A: Optional[RelationMatrix] = None,
@@ -73,12 +79,9 @@ def closed_form(g: Generators, A: Optional[RelationMatrix] = None,
         raise SymmetricInput(f"{g} generates a symmetric semigroup")
     d1, d2, d3 = g.elements
     a = A.entry
-    inner = a(1, 1) * d1 + a(2, 2) * d2 + a(3, 3) * d3
-    J = j_invariant(g, A)
+    inner, cross, J = _inner_cross_j(g, A)
     L1 = a(1, 2) * d2 + a(3, 3) * d3
     L2 = a(2, 2) * d2 + a(1, 3) * d3
-    cross = (a(2, 2) * a(1, 1) * d2 * d1 + a(3, 3) * a(1, 1) * d3 * d1
-             + a(3, 3) * a(2, 2) * d3 * d2) - d1 * d2 * d3
     if L1 + L2 != inner or L1 * L2 != cross:
         raise InternalMismatch(f"L1, L2 are not the roots they should be for {g}")
     total = d1 + d2 + d3

@@ -6,8 +6,9 @@ structure, the Apéry set of d_1: w[r], the least element of S congruent to r
 mod d_1.  The round-robin algorithm builds it in O(m*d_1) steps, and F, the
 genus, the gap list, the numerator Q and the symmetry test all follow from
 it.  Bitmask reachability (reachable_mask) answers the membership questions
-of validation and the relation-matrix search; the test suite keeps a bitmask
-gap-set DP as the independent reference the Apéry route is compared against.
+of validation and, for m >= 4 only, the relation-matrix search (m = 3 has
+its own O(log d) route in relation); the test suite keeps a bitmask gap-set
+DP as the independent reference the Apéry route is compared against.
 """
 
 from __future__ import annotations
@@ -153,10 +154,11 @@ def validate_generators(raw) -> Generators:
 
 # --- Apéry sets and gap sets -----------------------------------------------
 
-# Largest genus gap_set lists.  Above it gap_set raises TooManyGaps before it
-# allocates anything; F and the genus of such semigroups still come from
-# apery_set in O(m*d_1).  The largest gap set the tests and the benchmark
-# build, for (699, 1048, 1397), has 243,602 gaps.
+# Largest genus gap_set lists.  Above it gap_set raises TooManyGaps; F, the
+# genus and the higher genera of such semigroups still come from apery_set in
+# O(m*d_1).  apery_set itself refuses d_1 - 1 > MAX_GAPS before it allocates
+# anything: every residue r != 0 holds the gap r.  The largest gap set the
+# tests and the benchmark build, for (699, 1048, 1397), has 243,602 gaps.
 MAX_GAPS = 2_000_000
 
 
@@ -190,8 +192,12 @@ def apery_set(g: Generators) -> AperySet:
     splits the residues mod d_1 into gcd(d_1, b) cycles of r -> r + b.  Each
     cycle is walked once around from its least entry, relaxing
     w[r + b] <= w[r] + b, which settles it.
+
+    Raises TooManyGaps when d_1 - 1 > MAX_GAPS.
     """
     d1 = g.elements[0]
+    if d1 - 1 > MAX_GAPS:
+        raise TooManyGaps(f"{g} has at least {d1 - 1} gaps, more than {MAX_GAPS}")
     w = [math.inf] * d1
     w[0] = 0
     for b in g.elements[1:]:
@@ -216,9 +222,6 @@ def gap_set(g: Generators) -> GapSet:
     Raises TooManyGaps when the genus exceeds MAX_GAPS.
     """
     d1 = g.elements[0]
-    # every residue r != 0 holds at least the gap r, so G >= d_1 - 1
-    if d1 - 1 > MAX_GAPS:
-        raise TooManyGaps(f"{g} has at least {d1 - 1} gaps, more than {MAX_GAPS}")
     ap = apery_set(g)
     genus = ap.genus
     if genus > MAX_GAPS:

@@ -1,16 +1,17 @@
 """Higher genera g_n = sum of n-th powers of the gaps.
 
 Closed forms exist for two coprime generators (g_1, g_2, g_3) and for the
-first genus of a non-symmetric triple; everything else goes through the gap
-set directly, or through derivatives of the gap generating function at z = 1.
+first genus of a non-symmetric triple.  genera reads every g_n off the Apéry
+set of d_1; power_sums and derivative_genera work on a listed gap set.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
-from .core import Generators, GapSet, gap_set, sylvester_closed
+from .core import Generators, GapSet, apery_set, sylvester_closed
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, SymmetricInput
 from .polynomial import SparsePolynomial
 from .relation import RelationMatrix, relation_matrix
@@ -78,12 +79,35 @@ def derivative_genera(gs: GapSet, n_max: int = 3) -> list:
     return vals[:n_max + 1]
 
 
-def genera(g: Generators, n_max: int = 3, gs: Optional[GapSet] = None) -> list:
-    """Power sums over the gap set, with closed-form cross-checks where they
-    exist (two coprime generators; first genus of a non-symmetric triple)."""
-    if gs is None:
-        gs = gap_set(g)
-    vals = power_sums(gs, n_max)
+def _bernoulli(n: int) -> list:
+    """B_0..B_n with B_1 = -1/2, from sum_{j<=k} C(k+1, j) B_j = 0."""
+    B = [Fraction(1)]
+    for k in range(1, n + 1):
+        B.append(-sum(math.comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return B
+
+
+def genera(g: Generators, n_max: int = 3) -> list:
+    """Power sums g_0..g_n over the gaps, read off the Apéry set of d_1 in
+    O(n*d_1) steps, with closed-form cross-checks where they exist (two
+    coprime generators; first genus of a non-symmetric triple).
+
+    Residue r holds the gaps r, r + d, ..., w[r] - d (d = d_1), and
+    Faulhaber's formula sums a progression through Bernoulli polynomials:
+    sum_{k<K} (r + k*d)^n = d^n (B_{n+1}(r/d + K) - B_{n+1}(r/d)) / (n+1).
+    Expanding B_{n+1} binomially leaves only D_e = sum_r (w[r]^e - r^e), so
+    no gap is listed.
+    """
+    d = g.elements[0]
+    w = apery_set(g).w
+    D = [sum(x ** e for x in w) - sum(r ** e for r in range(d))
+         for e in range(n_max + 2)]
+    B = _bernoulli(n_max)
+    vals = []
+    for n in range(n_max + 1):
+        total = sum(math.comb(n + 1, j) * B[j] * Fraction(d) ** (j - 1) * D[n + 1 - j]
+                    for j in range(n + 1))
+        vals.append(_as_int(total / (n + 1), f"g_{n}"))
     if g.m == 2 and n_max >= 1:
         closed = genera2_closed(g.elements[0], g.elements[1])
         for n in range(1, min(n_max, 3) + 1):

@@ -60,9 +60,6 @@ class Classification:
 
 def _subset_oracle(others):
     """Representability tester over a fixed tuple, cheap to query repeatedly."""
-    if len(others) == 1:
-        gen = others[0]
-        return lambda t: t >= 0 and t % gen == 0
     if len(others) == 2:
         a, b = others
         return lambda t: representable_pair(t, a, b)
@@ -79,13 +76,56 @@ def _subset_oracle(others):
     return query
 
 
+def _least_multiple_in_pair(c: int, a: int, b: int) -> int:
+    """Least u >= 1 with u*c in <a, b> for coprime a, b, in O(log c) steps.
+
+    With h = gcd(a, c), every x*a + y*b divisible by c has h | y, so u*c is
+    the least f(x, y) = x*a + y*h*b over the nonzero points x, y >= 0 of the
+    lattice x = sigma*y (mod n), n = c/h.  f is linear with positive
+    coefficients, so its minimum lies at a vertex of the Klein sail, the
+    boundary of the convex hull of those points.  Rødseth's ceiling
+    continued fraction of n/sigma lists the lattice points on that boundary
+    from (n, 0) and (sigma, 1) down to x = 0.  A run of partial quotients 2
+    walks along one edge; it is taken in a single jump to the edge's last
+    point, or sigma = n - 1 would cost n steps.
+    """
+    h = math.gcd(a, c)
+    n = c // h
+    hb = h * b
+    sigma = -b * pow(a // h, -1, n) % n
+    px, py, x, y = n, 0, sigma, 1
+    best = min(n * a, sigma * a + hb)
+    while x:
+        q = -(-px // x)
+        if q == 2:
+            dx, dy = px - x, y - py
+            t = x // dx
+            px, py = x - (t - 1) * dx, y + (t - 1) * dy
+            x, y = x - t * dx, y + t * dy
+        else:
+            px, py, x, y = x, y, q * x - px, q * y - py
+        best = min(best, x * a + y * hb)
+    return best // c
+
+
 def diagonal_coefficient(g: Generators, j: int) -> int:
-    """Smallest v >= 2 with v*d_j representable by the other generators (j 1-based)."""
+    """Smallest v >= 2 with v*d_j representable by the other generators (j 1-based).
+
+    O(1) for m = 2 and O(log d_j) steps for m = 3; for m >= 4 it tries
+    v = 2, 3, ... in turn.
+    """
     d = g.elements
     dj = d[j - 1]
     others = d[:j - 1] + d[j:]
     # v = lcm(d_j, d_i)/d_j = d_i/gcd is always achievable using d_i alone
     cap = min(o // math.gcd(o, dj) for o in others)
+    if len(others) == 1:
+        return cap
+    if len(others) == 2:
+        # Johnson: k = gcd(a, b) is prime to d_j, so k | v, and v = k*u with
+        # u*d_j in <a/k, b/k>; u = 1 is possible only when k > 1
+        k = math.gcd(*others)
+        return k * _least_multiple_in_pair(dj, others[0] // k, others[1] // k)
     can = _subset_oracle(others)
     for v in range(2, cap + 1):
         if can(v * dj):

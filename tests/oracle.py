@@ -1,14 +1,18 @@
-"""Independent reference for gap sets: the bitmask reachability DP.
+"""Independent references the tests compare numsemi's fast routes against.
 
-numsemi reads gap sets off the Apéry set of d_1.  The tests compare that
-route against this one, which shares nothing with it but
-numsemi.reachable_mask: mark every representable integer up to a bound past
-the Frobenius number and list the unmarked ones.
+gap_set_bitmask: numsemi reads gap sets off the Apéry set of d_1.  This
+route shares nothing with it but numsemi.reachable_mask: mark every
+representable integer up to a bound past the Frobenius number and list the
+unmarked ones.
+
+diagonal_coefficient_walk: numsemi finds a_jj of a triple on the Klein sail
+in O(log d_j) steps.  This route tries v = 2, 3, ... in turn and shares
+nothing with it but numsemi.representable_pair.
 """
 
 import math
 
-from numsemi import GapSet, reachable_mask
+from numsemi import GapSet, reachable_mask, representable_pair
 
 
 def _gap_bound(elems):
@@ -46,3 +50,18 @@ def gap_set_bitmask(g) -> GapSet:
             gaps = [n for n in range(1, idx) if bits[n] == "0"]
             return GapSet(tuple(gaps))
         hi *= 2
+
+
+def diagonal_coefficient_walk(g, j: int) -> int:
+    """a_jj of a triple: the least v >= 2 with v*d_j in <d_i, d_k> (j 1-based).
+
+    v = d_i/gcd(d_i, d_j) always works, so the walk stops by min of those.
+    """
+    d = g.elements
+    dj = d[j - 1]
+    a, b = d[:j - 1] + d[j:]
+    cap = min(o // math.gcd(o, dj) for o in (a, b))
+    for v in range(2, cap + 1):
+        if representable_pair(v * dj, a, b):
+            return v
+    raise AssertionError(f"no relation found for d_{j} of {g}")

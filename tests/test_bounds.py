@@ -15,6 +15,7 @@ from numsemi import (
     lower_bounds,
     relation_matrix,
     validate_generators,
+    verify_standard_form,
 )
 from numsemi.errors import DimensionUnsupported, InvalidInput, NuTooLarge
 
@@ -134,9 +135,10 @@ def test_family_frobenius_matches_oracle():
 
 
 def test_family_matrix_is_the_relation_matrix():
-    for l in range(1, 41):
+    for l in [*range(1, 41), *(10 ** k for k in range(2, 51))]:
         m = counterexample_family(l)
         assert m.matrix == relation_matrix(m.generators), l
+        assert all(verify_standard_form(m.generators, m.matrix).values()), l
         cf = frobenius3(m.generators, m.matrix)
         assert cf.F == m.F
 

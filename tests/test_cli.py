@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,8 +13,9 @@ import pytest
 
 import numsemi
 import numsemi.cli as cli
-from numsemi import GapSet
+from numsemi import GapSet, genus1_closed_3d, validate_generators
 from numsemi.cli import main
+from numsemi.errors import ValidationError
 
 
 def run(capsys, *argv):
@@ -120,12 +122,47 @@ def test_hilbert_large_triple_reads_f_and_genus_off_apery(capsys):
 
 def test_oversized_gap_listing_exits_2(capsys):
     t0 = time.monotonic()
-    for command in ("gaps", "genera"):
-        code, out, err = run(capsys, command, "10001", "10003", "20003")
-        assert code == 2 and out == ""
-        assert err.startswith("error: TooManyGaps:")
-        assert "25010000 gaps" in err
+    code, out, err = run(capsys, "gaps", "10001", "10003", "20003")
+    assert code == 2 and out == ""
+    assert err.startswith("error: TooManyGaps:")
+    assert "25010000 gaps" in err
     assert time.monotonic() - t0 < 5  # refused before any gap is listed
+
+
+def test_genera_large_triple_reads_off_apery(capsys):
+    # 25,010,000 gaps: too many to list, but the power sums need only Ap
+    code, out, err = run(capsys, "genera", "10001", "10003", "20003", "--n", "1")
+    assert code == 0 and err == ""
+    g1 = genus1_closed_3d(validate_generators((10001, 10003, 20003)))
+    assert out == f"g_0 = 25010000\ng_1 = {g1}\n"
+
+
+def test_family_at_fifty_digits(capsys):
+    # the walk over v = 2..a_11 would need 10^50 steps here
+    l = 10 ** 50
+    d = [str(x) for x in (2 * l + 1, 2 * l + 3, 4 * l + 3)]
+    for argv in (["frob", *d], ["bounds", *d],
+                 ["falsify", "--nu", "5/8", "--triple", *d]):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["result"]["F"] == str(2 * l * l + 3 * l - 1), argv
+
+
+def test_relation_on_a_random_fifty_digit_triple(capsys):
+    rng = random.Random(50)
+    while True:
+        try:
+            g = validate_generators([rng.randrange(10 ** 49, 10 ** 50) for _ in range(3)])
+            break
+        except ValidationError:
+            continue
+    code, out, err = run(capsys, "relation", *map(str, g.elements), "--json")
+    assert code == 0 and err == ""
+    rows = [[int(x) for x in r] for r in json.loads(out)["result"]["rows"]]
+    for j, row in enumerate(rows):
+        assert row[j] >= 2 and all(x <= 0 for i, x in enumerate(row) if i != j)
+        # a_jj d_j = sum of a_ji d_i
+        assert sum(x * di for x, di in zip(row, g.elements)) == 0, j
 
 
 def test_genera_output(capsys):

@@ -15,6 +15,7 @@ from numsemi import (
     classify,
     frobenius_any,
     gap_set,
+    genera,
     hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
@@ -106,8 +107,10 @@ def test_gap_set_refuses_oversized_listings():
     with pytest.raises(TooManyGaps):
         gap_set(g)
     # d1 - 1 > MAX_GAPS is refused before the Apéry set is built
-    with pytest.raises(TooManyGaps):
-        gap_set(validate_generators((MAX_GAPS + 2, MAX_GAPS + 3)))
+    huge = validate_generators((MAX_GAPS + 2, MAX_GAPS + 3))
+    for route in (gap_set, apery_set, genera):
+        with pytest.raises(TooManyGaps):
+            route(huge)
 
 
 def test_sylvester_matches_oracle():

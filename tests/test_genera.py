@@ -15,6 +15,7 @@ from numsemi import (
     validate_generators,
 )
 from numsemi.errors import InvalidInput, SymmetricInput
+from oracle import gap_set_bitmask
 
 
 def test_power_sums():
@@ -53,6 +54,15 @@ def test_genus1_closed_matches_oracle(sweep30_gaps):
     for entry, gs in sweep30_gaps:
         if not entry.cls.symmetric:
             assert genus1_closed_3d(entry.g, entry.A) == sum(gs.gaps), entry.g
+
+
+def test_genera_matches_power_sums_over_oracle_gaps(sweep30_gaps):
+    # genera sums along the Apéry progressions; the oracle lists every gap
+    for entry, gs in sweep30_gaps:
+        assert genera(entry.g, 3) == power_sums(gs, 3), entry.g
+    for elems in ((3, 5), (7, 11), (4, 21, 26, 43), (5, 6, 7, 8, 9), (6, 10, 15)):
+        g = validate_generators(elems)
+        assert genera(g, 6) == power_sums(gap_set_bitmask(g), 6), elems
 
 
 def test_derivative_route(sweep30_gaps):

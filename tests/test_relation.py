@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import numsemi.relation
 from numsemi import (
@@ -22,7 +24,9 @@ from numsemi.errors import (
     InternalMismatch,
     StandardFormViolation,
     SymmetricInput,
+    ValidationError,
 )
+from oracle import diagonal_coefficient_walk
 
 
 def test_matrix_goldens_three_generators():
@@ -84,6 +88,71 @@ def test_diagonal_coefficients_are_minimal(sweep30_gaps):
             assert is_representable(ajj * d[j - 1], others)
             for v in range(2, ajj):
                 assert not is_representable(v * d[j - 1], others), (d, j, v)
+
+
+def test_diagonal_coefficients_match_the_walk(sweep60):
+    for entry in sweep60:
+        walk = tuple(diagonal_coefficient_walk(entry.g, j) for j in (1, 2, 3))
+        assert entry.A.diag == walk, entry.g
+
+
+@st.composite
+def triples_with_shared_factors(draw):
+    """Valid triples up to 10^5 as (k*h*x, k*y, h*z).
+
+    In about half the draws each of k = gcd(a, b) and h = gcd(a/k, d_j) is
+    forced above 1 for the row of d_j = h*z, so both Johnson's reduction and
+    the lattice index n = d_j/h < d_j are exercised.
+    """
+    k = draw(st.integers(2, 30)) if draw(st.booleans()) else 1
+    h = draw(st.integers(2, 30)) if draw(st.booleans()) else 1
+    assume(math.gcd(k, h) == 1)
+    a = k * h * draw(st.integers(1, 10 ** 5 // (k * h)))
+    b = k * draw(st.integers(1, 10 ** 5 // k))
+    c = h * draw(st.integers(1, 10 ** 5 // h))
+    try:
+        return validate_generators((a, b, c))
+    except ValidationError:
+        assume(False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(triples_with_shared_factors())
+@example(validate_generators((6, 10, 15)))
+def test_diagonal_coefficient_matches_the_walk_on_large_triples(g):
+    for j in (1, 2, 3):
+        assert diagonal_coefficient(g, j) == diagonal_coefficient_walk(g, j), j
+
+
+def _sigma(g, j):
+    """(n, sigma) of the lattice x = sigma*y (mod n) on which row j is solved."""
+    d = g.elements
+    a, b = d[:j - 1] + d[j:]
+    k = math.gcd(a, b)
+    a, b = a // k, b // k
+    h = math.gcd(a, d[j - 1])
+    n = d[j - 1] // h
+    return n, -b * pow(a // h, -1, n) % n
+
+
+def test_diagonal_coefficient_goldens():
+    # no coprime pair: every row has u = 1 after Johnson's reduction
+    assert relation_matrix(validate_generators((6, 10, 15))).diag == (5, 3, 2)
+    assert relation_matrix(validate_generators((4, 5, 6))).diag == (3, 2, 2)
+    # m = 2: a_11 = d_2 and a_22 = d_1
+    assert relation_matrix(validate_generators((3, 5))).diag == (5, 3)
+    # (2m, 2m+1, 2m+2): row 3 has n = m + 1 and sigma = n - 1, so the sail
+    # is one edge of m partial quotients 2, taken in a single jump
+    for m in (5000, 10 ** 40):
+        g = validate_generators((2 * m, 2 * m + 1, 2 * m + 2))
+        assert _sigma(g, 3) == (m + 1, m)
+        assert relation_matrix(g).diag == (m + 1, 2, m)
+        if m < 10 ** 6:
+            assert [diagonal_coefficient_walk(g, j) for j in (1, 2, 3)] == [m + 1, 2, m]
+    # 50-digit members of the family (2l+1, 2l+3, 4l+3)
+    for l in (10 ** 49, 10 ** 49 + 1, 4 * 10 ** 49 + 7):
+        g = validate_generators((2 * l + 1, 2 * l + 3, 4 * l + 3))
+        assert relation_matrix(g).diag == (l + 3, l + 1, 2), l
 
 
 def test_row_identities_hold(sweep30_gaps):
