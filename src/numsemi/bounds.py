@@ -113,10 +113,18 @@ def conjecture_bound_check(g: Generators, F: int, C: Fraction, nu: Fraction) -> 
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12: the least odd composite that is a strong pseudoprime to every base
+# above, 399165290221 * 798330580441 (Sorenson & Webster, Math. Comp. 86, 2017)
+MR_LIMIT = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin with the bases 2..37, exact for n < MR_LIMIT.
+
+    Raises InvalidInput for n >= MR_LIMIT, where those bases no longer decide.
+    """
+    if n >= MR_LIMIT:
+        raise InvalidInput(f"bases 2..37 do not decide the primality of {n} >= {MR_LIMIT}")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -147,7 +155,7 @@ class FamilyMember:
     F: int
     admissible: bool
     reason: Optional[str]
-    d1_prime: bool
+    d1_prime: Optional[bool]
 
 
 def counterexample_family(l: int) -> FamilyMember:
@@ -156,7 +164,8 @@ def counterexample_family(l: int) -> FamilyMember:
     The relation matrix is written down in closed form and its row identities
     re-verified.  Admissibility holds for l >= 2 with l not divisible by 3
     (for l = 3j the outer pair shares the factor 3); primality of 2l+1 is
-    reported as extra information, it is not required.
+    reported as extra information, it is not required, and is None where
+    2l+1 >= MR_LIMIT and is_prime cannot decide it.
     """
     if l < 1:
         raise InvalidInput(f"need l >= 1, got {l}")
@@ -172,7 +181,9 @@ def counterexample_family(l: int) -> FamilyMember:
         if lhs != rhs:
             raise InternalMismatch(f"family matrix row {j} fails for l = {l}")
     ok, reason = admissible(*g.elements)
-    return FamilyMember(l, g, A, 2 * l * l + 3 * l - 1, ok, reason, is_prime(2 * l + 1))
+    d1 = 2 * l + 1
+    d1_prime = is_prime(d1) if d1 < MR_LIMIT else None
+    return FamilyMember(l, g, A, 2 * l * l + 3 * l - 1, ok, reason, d1_prime)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -176,7 +176,7 @@ def _cmd_diagram(args):
 
 
 def _cmd_scan_appendix_a(args):
-    records = scan_uniform(args.a, args.d3_max, threads=args.threads)
+    records = scan_uniform(args.a, args.d3_max)
     result = {"a": args.a, "d3_max": args.d3_max, "count": len(records),
               "records": [{"triple": list(r.triple), "F": r.F, "G": r.G,
                            "diag": list(r.matrix.diag)} for r in records]}
@@ -251,7 +251,13 @@ def _cmd_sparsity(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    The handlers look their helpers up in this module when they run, so a
+    shared parser holds nothing that could go stale.
+    """
     parser = argparse.ArgumentParser(
         prog="numsemi",
         description="Exact computations on numerical semigroups: gaps, "
@@ -296,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="scan for uniform-diagonal triples")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--d3-max", dest="d3_max", type=int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = add("falsify", _cmd_falsify, help="test F <= C*(d1 d2 d3)^nu - sum d")
     p.add_argument("--C", default="1")

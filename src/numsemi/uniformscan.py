@@ -1,19 +1,26 @@
-"""Scan for triples whose relation matrix has a uniform diagonal (a, a, a).
+"""Triples whose first minimal relation matrix has a uniform diagonal (a, a, a).
 
-For those, F and G collapse to expressions in the elementary symmetric
-functions of (d1, d2, d3); the scan recomputes both routes and insists they
-agree.  A uniform diagonal forces distinct products a*d_i, so every hit is
-non-symmetric.
+F and G then follow from the elementary symmetric functions of (d1, d2, d3);
+the scan checks that route against the closed form.  It enumerates matrices,
+not triples.  A symmetric triple has a_ii*d_i = a_jj*d_j for some i != j
+(Herzog, Manuscripta Math. 3, 1970), which a uniform diagonal rules out.  So
+every hit is in the non-symmetric standard form (`verify_standard_form`):
+positive off-diagonal entries, columns summing to zero (a_ii = a_ji + a_ki)
+and d_i the cofactor a_jj*a_kk - a_jk*a_kj.  With a_ii = a, the entries
+a12, a13, a21 in [1, a-1] fix the rest: (a-1)^3 candidates, each with
+d_i = a^2 - a_jk*a_kj in [2a-1, a^2-1].  A candidate counts only if the
+relation matrix of its cofactors has diagonal (a, a, a), which rejects
+cofactors that share a factor or are not minimal.  The cost is O(a^3),
+whatever d3_max is.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .closedform import closed_form
-from .core import Generators, validate_generators
+from .core import validate_generators
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, ValidationError
 from .relation import RelationMatrix, classify, relation_matrix
 
@@ -46,48 +53,40 @@ def uniform_closed(a: int, d) -> tuple:
     return F, G
 
 
-def _scan_range(a: int, d3_lo: int, d3_hi: int):
-    out = []
-    for d3 in range(d3_lo, d3_hi + 1):
-        for d2 in range(3, d3):
-            for d1 in range(3, d2):
-                try:
-                    g = validate_generators((d1, d2, d3))
-                except ValidationError:
-                    continue
-                A = relation_matrix(g)
-                if A.diag != (a, a, a):
-                    continue
-                cls = classify(g, A, cross_check=False)
-                if cls.symmetric:
-                    raise InternalMismatch(f"uniform diagonal yet symmetric: {g}")
-                cf = closed_form(g, A, cls)
-                F, G = uniform_closed(a, g.elements)
-                if (F, G) != (cf.F, cf.G):
-                    raise InternalMismatch(
-                        f"uniform closed form disagrees for {g}: "
-                        f"({F}, {G}) != ({cf.F}, {cf.G})")
-                out.append(UniformDiagonalRecord(g.elements, a, F, G, A))
-    return out
-
-
-def scan_uniform(a: int, d3_max: int, threads: int = 1):
+def scan_uniform(a: int, d3_max: int):
     """All uniform-diagonal triples with d3 <= d3_max, sorted."""
     if a < 3:
         raise InvalidInput(f"need a >= 3, got {a}")
-    if d3_max < 5:
-        return []
-    if threads > 1 and d3_max >= 60:
-        chunks = []
-        step = max(4, (d3_max - 4) // (threads * 4) + 1)
-        lo = 5
-        while lo <= d3_max:
-            chunks.append((a, lo, min(lo + step - 1, d3_max)))
-            lo += step
-        records = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_scan_range, *zip(*chunks)):
-                records.extend(part)
-    else:
-        records = _scan_range(a, 5, d3_max)
-    return sorted(records, key=lambda r: r.triple)
+    # d_i <= d3_max iff a_jk*a_kj >= t; a partner is at most a - 1, so no
+    # entry lies below lo = ceil(t/(a-1)), and every range keeps products >= t
+    t = a * a - d3_max
+    lo = max(1, -(-t // (a - 1)))
+    triples = set()  # permuting a matrix's indices permutes its triple
+    for a12 in range(lo, a - lo + 1):
+        a32 = a - a12
+        for a21 in range(max(lo, -(-t // a12)), a - lo + 1):
+            a31 = a - a21
+            for a13 in range(max(lo, -(-t // a31)), a - max(lo, -(-t // a32)) + 1):
+                a23 = a - a13
+                triples.add(tuple(sorted((a * a - a23 * a32, a * a - a13 * a31,
+                                          a * a - a12 * a21))))
+    records = []
+    for d in sorted(triples):
+        try:
+            g = validate_generators(d)
+        except ValidationError:
+            continue
+        A = relation_matrix(g)
+        if A.diag != (a, a, a):
+            continue
+        cls = classify(g, A, cross_check=False)
+        if cls.symmetric:
+            raise InternalMismatch(f"uniform diagonal yet symmetric: {g}")
+        cf = closed_form(g, A, cls)
+        F, G = uniform_closed(a, g.elements)
+        if (F, G) != (cf.F, cf.G):
+            raise InternalMismatch(
+                f"uniform closed form disagrees for {g}: "
+                f"({F}, {G}) != ({cf.F}, {cf.G})")
+        records.append(UniformDiagonalRecord(g.elements, a, F, G, A))
+    return records

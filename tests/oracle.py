@@ -8,11 +8,26 @@ unmarked ones.
 diagonal_coefficient_walk: numsemi finds a_jj of a triple on the Klein sail
 in O(log d_j) steps.  This route tries v = 2, 3, ... in turn and shares
 nothing with it but numsemi.representable_pair.
+
+scan_uniform_bruteforce: numsemi enumerates the (a-1)^3 candidate relation
+matrices with diagonal (a, a, a).  This route tries every triple with
+d3 <= d3_max and keeps those whose relation matrix has that diagonal.
 """
 
 import math
 
-from numsemi import GapSet, reachable_mask, representable_pair
+from numsemi import (
+    GapSet,
+    UniformDiagonalRecord,
+    classify,
+    closed_form,
+    reachable_mask,
+    relation_matrix,
+    representable_pair,
+    uniform_closed,
+    validate_generators,
+)
+from numsemi.errors import InternalMismatch, ValidationError
 
 
 def _gap_bound(elems):
@@ -65,3 +80,27 @@ def diagonal_coefficient_walk(g, j: int) -> int:
         if representable_pair(v * dj, a, b):
             return v
     raise AssertionError(f"no relation found for d_{j} of {g}")
+
+
+def scan_uniform_bruteforce(a: int, d3_max: int) -> list:
+    """scan_uniform by trying all 3 <= d1 < d2 < d3 <= d3_max, with its checks."""
+    out = []
+    for d3 in range(5, d3_max + 1):
+        for d2 in range(3, d3):
+            for d1 in range(3, d2):
+                try:
+                    g = validate_generators((d1, d2, d3))
+                except ValidationError:
+                    continue
+                A = relation_matrix(g)
+                if A.diag != (a, a, a):
+                    continue
+                cls = classify(g, A, cross_check=False)
+                if cls.symmetric:
+                    raise InternalMismatch(f"uniform diagonal yet symmetric: {g}")
+                cf = closed_form(g, A, cls)
+                F, G = uniform_closed(a, g.elements)
+                if (F, G) != (cf.F, cf.G):
+                    raise InternalMismatch(f"uniform closed form disagrees for {g}")
+                out.append(UniformDiagonalRecord(g.elements, a, F, G, A))
+    return sorted(out, key=lambda r: r.triple)

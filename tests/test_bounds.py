@@ -17,6 +17,7 @@ from numsemi import (
     validate_generators,
     verify_standard_form,
 )
+from numsemi.bounds import MR_LIMIT
 from numsemi.errors import DimensionUnsupported, InvalidInput, NuTooLarge
 
 
@@ -185,3 +186,25 @@ def test_is_prime():
     assert is_prime(2 ** 31 - 1)   # Mersenne prime
     assert not is_prime(10001)     # 73 * 137
     assert is_prime(10007)
+
+
+def test_is_prime_refuses_past_the_strong_pseudoprime_limit():
+    # psi_12 is a strong pseudoprime to all twelve bases: Miller-Rabin with
+    # them would call it prime
+    assert MR_LIMIT == 318665857834031151167461 == 399165290221 * 798330580441
+    assert not is_prime(MR_LIMIT - 2)
+    for n in (MR_LIMIT, MR_LIMIT + 2, 10 ** 50 + 151):
+        with pytest.raises(InvalidInput):
+            is_prime(n)
+
+
+def test_family_d1_prime_undecided_past_the_limit():
+    below = counterexample_family((MR_LIMIT - 3) // 2)
+    assert below.generators.elements[0] == MR_LIMIT - 2
+    assert below.d1_prime is False
+    # 2l+1 = psi_12 itself, which is composite
+    at = counterexample_family((MR_LIMIT - 1) // 2)
+    assert at.generators.elements[0] == MR_LIMIT
+    assert at.d1_prime is None
+    assert at.F == 2 * at.l ** 2 + 3 * at.l - 1
+    assert counterexample_family(10 ** 50).d1_prime is None

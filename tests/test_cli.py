@@ -200,11 +200,25 @@ def test_diagram_lambda_svg(capsys):
 
 
 def test_scan_appendix_a(capsys):
-    code, out, _ = run(capsys, "scan-appendix-a", "--a", "3", "--d3-max", "30",
-                       "--threads", "1")
+    code, out, _ = run(capsys, "scan-appendix-a", "--a", "3", "--d3-max", "30")
     assert code == 0
     assert "d = (5, 7, 8)  F = 11  G = 7" in out
     assert "count = 1" in out
+
+
+def test_scan_appendix_a_cost_follows_a_not_d3_max(capsys):
+    # every hit has d3 < a^2, so d3_max = 10^9 keeps all 91 and costs no more
+    code, out, err = run(capsys, "scan-appendix-a", "--a", "12",
+                         "--d3-max", "1000000000", "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["count"] == "91"
+    assert all(r["diag"] == ["12", "12", "12"] for r in result["records"])
+    # every d_i >= 2a - 1, so nothing of a = 10^6 fits under 30
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "scan-appendix-a", "--a", "1000000", "--d3-max", "30")
+    assert time.monotonic() - t0 < 0.5
+    assert code == 0 and err == "" and out == "count = 0\n"
 
 
 def test_falsify_triple(capsys):
@@ -222,6 +236,14 @@ def test_falsify_family_member(capsys):
     assert "verdict = HOLDS" in out
     assert "triple = (5, 7, 11)" in out
     assert "admissible = true" in out
+
+
+def test_falsify_family_member_past_the_primality_limit(capsys):
+    code, out, err = run(capsys, "falsify", "--nu", "5/8", "--l", str(10 ** 50), "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["d1_prime"] is None
+    assert result["violated"] is True
 
 
 def test_falsify_family_json(capsys):

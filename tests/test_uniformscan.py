@@ -1,9 +1,18 @@
 """Uniform-diagonal triples and their elementary-symmetric closed forms."""
 
+import time
+
 import pytest
 
-from numsemi import gap_set, scan_uniform, uniform_closed, validate_generators
+from numsemi import (
+    gap_set,
+    scan_uniform,
+    uniform_closed,
+    validate_generators,
+    verify_standard_form,
+)
 from numsemi.errors import InvalidInput
+from oracle import gap_set_bitmask, scan_uniform_bruteforce
 
 
 def test_uniform_closed_goldens():
@@ -50,11 +59,34 @@ def test_scan_agrees_with_oracle():
             assert rec.matrix.diag == (a, a, a)
 
 
-def test_scan_parallel_matches_serial():
-    serial = scan_uniform(4, 60)
-    parallel = scan_uniform(4, 60, threads=2)
-    assert serial == parallel
-    assert len(serial) >= 2
+@pytest.mark.parametrize("a", range(3, 8))
+def test_scan_matches_bruteforce(a):
+    # every hit has d3 <= a^2 - 1, so the brute force to a^2 is the whole table
+    table = scan_uniform_bruteforce(a, a * a)
+    assert len(table) == {3: 1, 4: 2, 5: 9, 6: 10, 7: 33}[a]
+    for d3_max in range(5, a * a + 1):
+        assert scan_uniform(a, d3_max) == [
+            r for r in table if r.triple[2] <= d3_max], d3_max
+
+
+def test_scan_a12_golden():
+    records = scan_uniform(12, 10 ** 9)
+    assert len(records) == 91
+    assert max(r.triple[2] for r in records) < 144
+    for rec in records:
+        g = validate_generators(rec.triple)
+        gs = gap_set_bitmask(g)
+        assert (gs.frobenius, gs.genus) == (rec.F, rec.G), rec.triple
+        assert rec.matrix.diag == (12, 12, 12)
+        assert all(verify_standard_form(g, rec.matrix).values()), rec.triple
+
+
+def test_scan_bounds_prune_by_d3_max():
+    # every d_i >= 2a - 1 = 19999, and no matrix puts all three near that
+    t0 = time.monotonic()
+    assert scan_uniform(10 ** 4, 2 * 10 ** 4 + 10) == []
+    assert scan_uniform(10 ** 6, 30) == []
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_scan_edge_cases():
