@@ -42,7 +42,6 @@ from .core import (
     hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
-    nonzero_count,
     phi_polynomial,
     reachable_mask,
     representable_pair,

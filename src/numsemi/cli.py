@@ -122,7 +122,7 @@ def _cmd_relation(args):
 def _cmd_hilbert(args):
     g = validate_generators(args.d)
     ap = apery_set(g)
-    Q = hilbert_numerator(g)
+    Q = hilbert_numerator(g, ap)
     result = {"numerator": _poly_dict(Q), "degree": Q.degree,
               "nonzero_count": Q.nonzero_count(), "num_monomials": Q.num_monomials(),
               "F": ap.frobenius, "genus": ap.genus}

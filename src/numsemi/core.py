@@ -268,12 +268,15 @@ def sylvester_closed(d1: int, d2: int) -> SylvesterResult:
     return SylvesterResult(F, G, SparsePolynomial.one_minus_z(d1 * d2), 2 * G)
 
 
-def hilbert_numerator(g: Generators) -> SparsePolynomial:
+def hilbert_numerator(g: Generators, ap: Optional[AperySet] = None) -> SparsePolynomial:
     """Q with H = Q / prod(1 - z^d_j), from the Apéry set of d_1:
 
         Q = prod_{j=2}^{m} (1 - z^{d_j}) * sum_r z^{w[r]}
+
+    ap, when given, must be apery_set(g); it is not built again.
     """
-    ap = apery_set(g)
+    if ap is None:
+        ap = apery_set(g)
     q = SparsePolynomial.from_exponents(ap.w)
     for dj in g.elements[1:]:
         q = q * SparsePolynomial.one_minus_z(dj)
@@ -282,11 +285,6 @@ def hilbert_numerator(g: Generators) -> SparsePolynomial:
             f"deg Q = {q.degree} != F + sum(d) = {ap.frobenius + g.sum()} for {g}"
         )
     return q
-
-
-def nonzero_count(p: SparsePolynomial) -> int:
-    """Number of monomials counted with coefficient multiplicity."""
-    return p.nonzero_count()
 
 
 def verify_hilbert_identity(g: Generators, gs: Optional[GapSet] = None) -> bool:

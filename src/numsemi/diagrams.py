@@ -9,11 +9,12 @@ column) carries the values 1..d1-1; the top layer is the row p = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Generators, GapSet, apery_set, gap_set, representable_pair
+from .core import MAX_GAPS, Generators, GapSet, apery_set, gap_set, representable_pair
 from .errors import (
     IdentityViolation,
     IndexOutOfRange,
@@ -22,6 +23,7 @@ from .errors import (
     NotAGap,
     NotCoprime,
     SymmetricInput,
+    TooManyGaps,
 )
 from .polynomial import SparsePolynomial
 from .relation import RelationMatrix, relation_matrix
@@ -52,11 +54,17 @@ class DiagramGrid:
 
 
 def delta2_grid(d1: int, d2: int) -> DiagramGrid:
-    """All gaps of <d1, d2> arranged on the (p, q) grid."""
+    """All gaps of <d1, d2> arranged on the (p, q) grid.
+
+    Raises TooManyGaps when the (d1 - 1)(d2 - 1)/2 cells exceed MAX_GAPS.
+    """
     if not (2 <= d1 < d2):
         raise InvalidInput(f"need 2 <= d1 < d2, got ({d1}, {d2})")
     if math.gcd(d1, d2) != 1:
         raise NotCoprime(f"({d1}, {d2}) are not coprime")
+    genus = (d1 - 1) * (d2 - 1) // 2
+    if genus > MAX_GAPS:
+        raise TooManyGaps(f"<{d1}, {d2}> has {genus} gaps, more than {MAX_GAPS}")
     cells = {}
     bottom = {}
     top = {}
@@ -69,12 +77,24 @@ def delta2_grid(d1: int, d2: int) -> DiagramGrid:
     return DiagramGrid(d1, d2, cells, bottom, top)
 
 
-def _min_carver_multiple(carver: int, b0: int, b1: int) -> int:
-    """Smallest v >= 2 with v*carver in <b0, b1> (v = b0 always works)."""
-    for v in range(2, b0 + 1):
-        if representable_pair(v * carver, b0, b1):
-            return v
-    raise NotAGap(f"{carver} is representable by ({b0}, {b1})")  # not minimal
+def _carver_points(carver: int, b0: int, b1: int):
+    """Yield (p_k, q_k) = pq_of(k*carver, b0, b1) for k = 1, 2, ... up to the
+    first k with k*carver in <b0, b1> (k = b0 always is one), in O(1) each.
+
+    Raises NotAGap if carver itself is representable (a non-minimal triple).
+    """
+    full = b0 * b1
+    step = (-carver) * pow(b1, -1, b0) % b0   # q_k = k*step mod b0
+    t, q = carver, step
+    while q:
+        p = (full - q * b1 - t) // b0
+        if p < 1:
+            break
+        yield p, q
+        t += carver
+        q = (q + step) % b0
+    if t == carver:
+        raise NotAGap(f"{carver} is representable by ({b0}, {b1})")
 
 
 def _omega(k: int, carver: int, b0: int, b1: int):
@@ -91,10 +111,10 @@ def associated_set(g: Generators, k: int):
     d1, d2, d3 = g.elements
     if math.gcd(d1, d2) != 1:
         raise NotCoprime(f"base pair ({d1}, {d2}) is not coprime")
-    acc = _min_carver_multiple(d3, d1, d2)
-    if not 1 <= k < acc:
-        raise IndexOutOfRange(f"k = {k} outside [1, {acc})")
-    return tuple(sorted(_omega(k, d3, d1, d2)))
+    for acc, _ in enumerate(_carver_points(d3, d1, d2), 2):
+        if acc == k + 1:
+            return tuple(sorted(_omega(k, d3, d1, d2)))
+    raise IndexOutOfRange(f"k = {k} outside [1, {acc})")
 
 
 def coprime_base(g: Generators):
@@ -109,8 +129,20 @@ def coprime_base(g: Generators):
 def delta3_via_diagram(g: Generators, strict: bool = False) -> GapSet:
     """Gap set of a triple by carving boxes out of a two-generator grid.
 
-    Uses any coprime pair as the base; without one, falls back to direct
-    enumeration unless strict is set.
+    Any coprime pair (b0, b1) serves as the base and the third generator c
+    carves.  The box Omega^k holds the grid cells p <= p_k, q <= q_k, where
+    (p_k, q_k) = pq_of(k*c, b0, b1), for 1 <= k < acc, the first k with k*c
+    in <b0, b1>.  Their union is a staircase: column q loses the cells
+    p <= depth(q) = max {p_k : q_k >= q}, and keeps
+    sigma(p, q) for depth(q) < p <= pb(q).  So one walk over k records p_k
+    at q_k, a suffix maximum turns that into depth, and the kept cells are
+    listed column by column; neither the grid nor a box is built.  Cost
+    O(acc + b0) steps for the depths, acc <= b0, plus the sort of b0
+    ascending runs holding the genus-many kept gaps.
+
+    Without a coprime pair, falls back to gap_set unless strict is set.
+    Raises TooManyGaps when b0 - 1 or the genus exceeds MAX_GAPS, before
+    either is allocated.
     """
     if g.m != 3:
         raise InvalidInput(f"need a triple, got m={g.m}")
@@ -122,11 +154,24 @@ def delta3_via_diagram(g: Generators, strict: bool = False) -> GapSet:
         return gap_set(g)
     d = g.elements
     b0, b1, carver = d[i], d[j], d[c]
-    gaps = set(delta2_grid(b0, b1).cells.values())
-    acc = _min_carver_multiple(carver, b0, b1)
-    for k in range(1, acc):
-        gaps -= _omega(k, carver, b0, b1)
-    return GapSet(tuple(sorted(gaps)))
+    if b0 - 1 > MAX_GAPS:
+        raise TooManyGaps(f"{g}: the grid over ({b0}, {b1}) has {b0 - 1} columns, "
+                          f"more than {MAX_GAPS}")
+    depth = [0] * (b0 + 1)           # depth[q] for 1 <= q < b0; depth[b0] = 0
+    for p, q in _carver_points(carver, b0, b1):
+        if p > depth[q]:
+            depth[q] = p
+    # column q holds sigma = r - p*b0 with r = b1*(b0 - q), for 1 <= p <= r // b0
+    kept = 0
+    for q in range(b0 - 1, 0, -1):
+        if depth[q] < depth[q + 1]:
+            depth[q] = depth[q + 1]
+        kept += b1 * (b0 - q) // b0 - depth[q]
+    if kept > MAX_GAPS:
+        raise TooManyGaps(f"{g} has {kept} gaps, more than {MAX_GAPS}")
+    runs = (range(b1 * (b0 - q) % b0, b1 * (b0 - q) - depth[q] * b0, b0)
+            for q in range(1, b0))
+    return GapSet(tuple(sorted(itertools.chain.from_iterable(runs))))
 
 
 @dataclass(frozen=True)

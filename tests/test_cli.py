@@ -13,6 +13,7 @@ import pytest
 
 import numsemi
 import numsemi.cli as cli
+import numsemi.core
 from numsemi import GapSet, genus1_closed_3d, validate_generators
 from numsemi.cli import main
 from numsemi.errors import ValidationError
@@ -127,6 +128,30 @@ def test_oversized_gap_listing_exits_2(capsys):
     assert err.startswith("error: TooManyGaps:")
     assert "25010000 gaps" in err
     assert time.monotonic() - t0 < 5  # refused before any gap is listed
+
+
+def test_oversized_diagrams_exit_2(capsys):
+    for argv in (["10001", "10003", "--kind", "delta2"],
+                 ["10001", "10003", "20003", "--kind", "delta3"]):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "diagram", *argv)
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: TooManyGaps:")
+
+
+def test_hilbert_builds_the_apery_set_once(capsys, monkeypatch):
+    calls = []
+    real = numsemi.core.apery_set
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+    monkeypatch.setattr(numsemi.core, "apery_set", counted)
+    monkeypatch.setattr(cli, "apery_set", counted)
+    code, _, _ = run(capsys, "hilbert", "100001", "100003", "200003")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_genera_large_triple_reads_off_apery(capsys):

@@ -1,12 +1,14 @@
 """Gap diagrams: sigma grids, carved boxes, lambda sets, rendering."""
 
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numsemi.diagrams
 from numsemi import (
     DiagramGrid,
     LambdaSet,
@@ -35,7 +37,10 @@ from numsemi.errors import (
     NotAGap,
     NotCoprime,
     SymmetricInput,
+    TooManyGaps,
+    ValidationError,
 )
+from oracle import gap_set_bitmask
 
 
 def test_pq_of_goldens():
@@ -137,6 +142,74 @@ def test_delta3_base_pair_fallbacks():
     with pytest.raises(NoCoprimeBasePair):
         delta3_via_diagram(g2, strict=True)
     assert delta3_via_diagram(g2).gaps == gap_set(g2).gaps
+
+
+@st.composite
+def _triples(draw):
+    """Triples up to ~2000; a third force gcd(d1, d2) > 1 and a third
+    gcd(d1, d3) > 1, so the base becomes (d1, d3) or (d2, d3) and the
+    carver may be smaller than a base element."""
+    mode = draw(st.integers(0, 2))
+    if mode == 0:
+        d = sorted(draw(st.lists(st.integers(3, 2000), min_size=3, max_size=3,
+                                 unique=True)))
+    else:
+        f = draw(st.integers(2, 30))
+        x = draw(st.integers(2, 1999 // f - 1))
+        y = draw(st.integers(x + 1, 1999 // f))
+        lo, hi = f * x, f * y
+        if mode == 1:
+            d = [lo, hi, draw(st.integers(hi + 1, 2000))]
+        else:
+            d = [lo, draw(st.integers(lo + 1, hi - 1)), hi]
+    try:
+        return validate_generators(d)
+    except ValidationError:
+        assume(False)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_triples())
+def test_delta3_matches_bitmask_oracle(g):
+    assert delta3_via_diagram(g).gaps == gap_set_bitmask(g).gaps
+
+
+def test_delta3_does_not_use_apery_or_grid(sweep30_gaps, monkeypatch):
+    # the carving route stays independent of the Apéry kernel and the grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta3_via_diagram left the carving route")
+    for name in ("apery_set", "gap_set", "delta2_grid"):
+        monkeypatch.setattr(numsemi.diagrams, name, refuse)
+    checked = 0
+    for entry, gs in sweep30_gaps:
+        try:
+            coprime_base(entry.g)
+        except NoCoprimeBasePair:
+            continue
+        assert delta3_via_diagram(entry.g, strict=True).gaps == gs.gaps, entry.g
+        checked += 1
+    assert checked > 1000
+
+
+def test_delta3_large_golden():
+    g = validate_generators((1563, 2275, 2503))
+    t0 = time.monotonic()
+    gs = delta3_via_diagram(g)
+    assert time.monotonic() - t0 < 2
+    assert gs.gaps == gap_set(g).gaps
+
+
+def test_diagram_budgets_refuse_before_building():
+    t0 = time.monotonic()
+    with pytest.raises(TooManyGaps, match="50010000 gaps"):
+        delta2_grid(10001, 10003)
+    # base (4001, 4003) fits, but the 4,004,001 kept gaps do not
+    with pytest.raises(TooManyGaps, match="4004001 gaps"):
+        delta3_via_diagram(validate_generators((4001, 4003, 8005)))
+    # more grid columns than MAX_GAPS: refused before the depth table
+    with pytest.raises(TooManyGaps, match="2000002 columns"):
+        delta3_via_diagram(validate_generators((2000003, 2000005, 4000007)))
+    assert time.monotonic() - t0 < 1
 
 
 def test_carving_accounts_for_every_lost_gap(sweep30_gaps):
