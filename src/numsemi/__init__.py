@@ -43,7 +43,6 @@ from .core import (
     is_representable,
     is_symmetric_gapset,
     phi_polynomial,
-    reachable_mask,
     representable_pair,
     sylvester_closed,
     validate_generators,

@@ -175,11 +175,9 @@ def counterexample_family(l: int) -> FamilyMember:
         (l + 3, l + 1, 2),
         ((0, l, 1), (l, 0, 1), (3, 1, 0)),
     )
-    for j in range(1, 4):
-        lhs = A.entry(j, j) * g.elements[j - 1]
-        rhs = sum(A.entry(j, i) * g.elements[i - 1] for i in range(1, 4) if i != j)
-        if lhs != rhs:
-            raise InternalMismatch(f"family matrix row {j} fails for l = {l}")
+    bad = A.failing_row(g)
+    if bad:
+        raise InternalMismatch(f"family matrix row {bad[0]} fails for l = {l}")
     ok, reason = admissible(*g.elements)
     d1 = 2 * l + 1
     d1_prime = is_prime(d1) if d1 < MR_LIMIT else None

@@ -16,7 +16,7 @@ from typing import Optional
 from .core import (
     Generators,
     apery_set,
-    is_representable,
+    sift_generators,
     sylvester_closed,
     validate_generators,
 )
@@ -92,10 +92,7 @@ def closed_form(g: Generators, A: Optional[RelationMatrix] = None,
     if (1 + inner - diag_prod - total) % 2:
         raise InternalMismatch(f"genus numerator odd for {g}")
     G = (1 + inner - diag_prod - total) // 2
-    # matrix-only expressions must agree
-    p1 = a(1, 2) * a(2, 3) * a(3, 1)
-    p2 = a(1, 3) * a(3, 2) * a(2, 1)
-    if F + total != diag_prod + max(p1, p2) or 2 * G + total != 1 + diag_prod + p1 + p2:
+    if F != frobenius_matrix_only(A, g) or G != genus_matrix_only(A, g):
         raise InternalMismatch(f"matrix-only F/G expressions disagree for {g}")
     Q = (SparsePolynomial.one()
          - SparsePolynomial.from_exponents([a(1, 1) * d1, a(2, 2) * d2, a(3, 3) * d3])
@@ -186,19 +183,11 @@ def frobenius_any(elements) -> int:
         raise InvalidInput(f"need positive integers, got {elements}")
     if math.gcd(*elems) != 1:
         raise InvalidInput(f"gcd of {elements} is not 1")
-    # strip reducible members so the closed forms see a minimal system
-    changed = True
-    while changed and len(elems) > 1:
-        changed = False
-        for idx in range(len(elems) - 1, -1, -1):
-            rest = Generators(tuple(elems[:idx] + elems[idx + 1:]))
-            if is_representable(elems[idx], rest):
-                elems.pop(idx)
-                changed = True
-                break
+    # drop reducible members so the closed forms see a minimal system
+    g = sift_generators(elems, drop=True)
+    elems = g.elements
     if elems[0] == 1:
         return -1
-    g = Generators(tuple(elems))
     if len(elems) == 2:
         return sylvester_closed(elems[0], elems[1]).F
     if len(elems) == 3:

@@ -1,22 +1,21 @@
 """Generator tuples, representability, Apéry sets, gap sets, and
 Hilbert-series numerators.
 
-Everything this package enumerates about S = <d_1, ..., d_m> is read off one
-structure, the Apéry set of d_1: w[r], the least element of S congruent to r
-mod d_1.  The round-robin algorithm builds it in O(m*d_1) steps, and F, the
-genus, the gap list, the numerator Q and the symmetry test all follow from
-it.  Bitmask reachability (reachable_mask) answers the membership questions
-of validation and, for m >= 4 only, the relation-matrix search (m = 3 has
-its own O(log d) route in relation); the test suite keeps a bitmask gap-set
-DP as the independent reference the Apéry route is compared against.
+Everything enumerated about S = <d_1, ..., d_m> is read off one structure,
+the Apéry set of d_1: w[r], the least element of S congruent to r mod d_1
+(Selmer 1977).  The round-robin algorithm (Böcker & Lipták, Algorithmica 48,
+2007) builds it in O(m*d_1) steps, once per Generators; for m >= 4 it is
+built by validation.  F, the genus, the gap list, Q, the symmetry test,
+membership and the m >= 4 relation matrix follow from it.  Pairs are tested
+in O(log) steps; the tests keep a bitmask DP as the independent reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .errors import (
     ContainsUnit,
@@ -35,6 +34,9 @@ class Generators:
     """A validated minimal generating tuple d_1 < ... < d_m, gcd 1."""
 
     elements: tuple
+    # Ap(S, d_1) once built (by validation or apery_set); not part of the value
+    _apery: Optional["AperySet"] = field(default=None, init=False, compare=False,
+                                         repr=False)
 
     @property
     def m(self) -> int:
@@ -77,23 +79,6 @@ class GapSet:
 
 # --- representability primitives -------------------------------------------
 
-def reachable_mask(gens: Iterable[int], bound: int) -> int:
-    """Bitmask of integers in [0, bound] representable over gens.
-
-    Doubling shifts: OR-ing shifted copies with offsets g, 2g, 4g, ... closes
-    the mask under +g because every multiple k*g is a sum of distinct
-    power-of-two multiples (binary expansion of k).
-    """
-    full = (1 << (bound + 1)) - 1
-    mask = 1
-    for g in gens:
-        step = g
-        while step <= bound:
-            mask |= (mask << step) & full
-            step <<= 1
-    return mask
-
-
 def representable_pair(t: int, a: int, b: int) -> bool:
     """t == x*a + y*b with x, y >= 0, in O(log) time via modular inverse."""
     if t < 0:
@@ -109,31 +94,48 @@ def representable_pair(t: int, a: int, b: int) -> bool:
     return x * a <= t
 
 
-def _representable(t: int, gens) -> bool:
-    """t representable over an arbitrary positive-integer tuple."""
-    if t == 0:
-        return True
-    if t < 0:
-        return False
-    usable = [g for g in gens if g <= t]
-    if not usable:
-        return False
-    if len(usable) == 1:
-        return t % usable[0] == 0
-    if len(usable) == 2:
-        return representable_pair(t, usable[0], usable[1])
-    return bool(reachable_mask(usable, t) >> t & 1)
-
-
 def is_representable(n: int, g: Generators) -> bool:
-    """Membership of n in the semigroup generated by g."""
-    return _representable(n, g.elements)
+    """Membership of n in the semigroup generated by g (any positive tuple)."""
+    d = g.elements
+    if n < d[0]:
+        return n == 0
+    if len(d) == 1:
+        return n % d[0] == 0
+    if len(d) == 2:
+        return representable_pair(n, *d)
+    return n in apery_set(g)
 
 
 # --- validation -------------------------------------------------------------
 
+def sift_generators(elems, drop: bool) -> Generators:
+    """Test each of the sorted positive elems against the semigroup of the
+    kept smaller ones (larger ones cannot help); a redundant one raises
+    NotMinimal, or is dropped when drop is set.  While fewer than three are
+    kept the pair test decides; after that e is redundant iff w[e mod d_1] <= e
+    on Ap(<kept>, d_1), grown one round-robin step per kept element and left
+    on the result.  That set raises TooManyGaps when d_1 - 1 > MAX_GAPS.
+    """
+    kept, w = [elems[0]], None
+    for e in elems[1:]:
+        if w is None and len(kept) == 3:
+            w = _apery_w(kept)
+        if (w[e % kept[0]] <= e if w is not None
+                else is_representable(e, Generators(tuple(kept)))):
+            if drop:
+                continue
+            raise NotMinimal(e)
+        kept.append(e)
+        if w is not None:
+            _round_robin(w, e)
+    g = Generators(tuple(kept))
+    if w is not None:
+        object.__setattr__(g, "_apery", AperySet(tuple(w)))
+    return g
+
+
 def validate_generators(raw) -> Generators:
-    """Sort, deduplicate, and check: all >1, gcd 1, minimal."""
+    """Sort, deduplicate, and check: all >1, gcd 1, minimal (sift_generators)."""
     elems = sorted(raw)
     if not elems:
         raise TooShort("empty generator list")
@@ -146,10 +148,7 @@ def validate_generators(raw) -> Generators:
         raise TooShort("need at least 2 generators")
     if math.gcd(*elems) != 1:
         raise NotCoprime(f"gcd{tuple(elems)} = {math.gcd(*elems)}")
-    for i, e in enumerate(elems):
-        if _representable(e, elems[:i] + elems[i + 1:]):
-            raise NotMinimal(e)
-    return Generators(tuple(elems))
+    return sift_generators(elems, drop=False)
 
 
 # --- Apéry sets and gap sets -----------------------------------------------
@@ -168,6 +167,10 @@ class AperySet:
 
     w: tuple
 
+    def __contains__(self, n: int) -> bool:
+        """n lies in S."""
+        return n >= 0 and self.w[n % len(self.w)] <= n
+
     @property
     def frobenius(self) -> int:
         return max(self.w) - len(self.w)
@@ -185,35 +188,50 @@ class AperySet:
         return all(top - x in members for x in self.w)
 
 
-def apery_set(g: Generators) -> AperySet:
-    """Round-robin algorithm (Böcker & Lipták 2007), O(m*d_1) steps.
+def _round_robin(w: list, b: int) -> None:
+    """Add generator b to Ap in place (Böcker & Lipták 2007).
 
-    Adding generator b to the semigroup of d_1 and the earlier generators
-    splits the residues mod d_1 into gcd(d_1, b) cycles of r -> r + b.  Each
-    cycle is walked once around from its least entry, relaxing
-    w[r + b] <= w[r] + b, which settles it.
+    The residues mod d_1 = len(w) split into gcd(d_1, b) cycles of
+    r -> r + b.  Each cycle is walked once around from its least entry,
+    relaxing w[r + b] <= w[r] + b, which settles it.
+    """
+    d1 = len(w)
+    cycles = math.gcd(d1, b)
+    for p in range(cycles):
+        n = min(w[p::cycles])
+        if n == math.inf:
+            continue
+        for _ in range(d1 // cycles - 1):
+            n += b
+            r = n % d1
+            if w[r] < n:
+                n = w[r]
+            else:
+                w[r] = n
+
+
+def _apery_w(gens) -> list:
+    """Ap(<gens>, gens[0]); TooManyGaps before allocating if gens[0] - 1 > MAX_GAPS."""
+    d1 = gens[0]
+    if d1 - 1 > MAX_GAPS:
+        raise TooManyGaps(
+            f"Generators{tuple(gens)} has at least {d1 - 1} gaps, more than {MAX_GAPS}")
+    w = [math.inf] * d1
+    w[0] = 0
+    for b in gens[1:]:
+        _round_robin(w, b)
+    return w
+
+
+def apery_set(g: Generators) -> AperySet:
+    """Ap(S, d_1) in O(m*d_1) steps, built at most once per Generators.
+    Entries are infinite where g has gcd > 1.
 
     Raises TooManyGaps when d_1 - 1 > MAX_GAPS.
     """
-    d1 = g.elements[0]
-    if d1 - 1 > MAX_GAPS:
-        raise TooManyGaps(f"{g} has at least {d1 - 1} gaps, more than {MAX_GAPS}")
-    w = [math.inf] * d1
-    w[0] = 0
-    for b in g.elements[1:]:
-        cycles = math.gcd(d1, b)
-        for p in range(cycles):
-            n = min(w[p::cycles])
-            if n == math.inf:
-                continue
-            for _ in range(d1 // cycles - 1):
-                n += b
-                r = n % d1
-                if w[r] < n:
-                    n = w[r]
-                else:
-                    w[r] = n
-    return AperySet(tuple(w))
+    if g._apery is None:
+        object.__setattr__(g, "_apery", AperySet(tuple(_apery_w(g.elements))))
+    return g._apery
 
 
 def gap_set(g: Generators) -> GapSet:
@@ -268,15 +286,12 @@ def sylvester_closed(d1: int, d2: int) -> SylvesterResult:
     return SylvesterResult(F, G, SparsePolynomial.one_minus_z(d1 * d2), 2 * G)
 
 
-def hilbert_numerator(g: Generators, ap: Optional[AperySet] = None) -> SparsePolynomial:
+def hilbert_numerator(g: Generators) -> SparsePolynomial:
     """Q with H = Q / prod(1 - z^d_j), from the Apéry set of d_1:
 
         Q = prod_{j=2}^{m} (1 - z^{d_j}) * sum_r z^{w[r]}
-
-    ap, when given, must be apery_set(g); it is not built again.
     """
-    if ap is None:
-        ap = apery_set(g)
+    ap = apery_set(g)
     q = SparsePolynomial.from_exponents(ap.w)
     for dj in g.elements[1:]:
         q = q * SparsePolynomial.one_minus_z(dj)
@@ -287,17 +302,17 @@ def hilbert_numerator(g: Generators, ap: Optional[AperySet] = None) -> SparsePol
     return q
 
 
-def verify_hilbert_identity(g: Generators, gs: Optional[GapSet] = None) -> bool:
+def verify_hilbert_identity(g: Generators, gs: GapSet) -> bool:
     """Check both series identities exactly, truncated where finite:
 
-    (1-z)(Phi + S_trunc) == 1 - z^(N+1)   and   trunc(prod(1-z^d_j) * S_trunc) == Q.
+    (1-z)(Phi + S_trunc) == 1 - z^(N+1)   and   trunc(prod(1-z^d_j) * S_trunc) == Q,
+
+    with S_trunc from the Apéry set and Phi from gs, a gap set found another way.
     """
-    if gs is None:
-        gs = gap_set(g)
+    ap = apery_set(g)
     q = hilbert_numerator(g)
     n = q.degree
-    mask = reachable_mask(g.elements, n)
-    s_trunc = SparsePolynomial({k: 1 for k in range(n + 1) if mask >> k & 1})
+    s_trunc = SparsePolynomial({k: 1 for k in range(n + 1) if k in ap})
     phi = phi_polynomial(gs)
     lhs = SparsePolynomial.one_minus_z(1) * (phi + s_trunc)
     if lhs != SparsePolynomial({0: 1, n + 1: -1}):

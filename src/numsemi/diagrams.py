@@ -126,7 +126,7 @@ def coprime_base(g: Generators):
     raise NoCoprimeBasePair(f"no coprime pair among {d}")
 
 
-def delta3_via_diagram(g: Generators, strict: bool = False) -> GapSet:
+def delta3_via_diagram(g: Generators) -> GapSet:
     """Gap set of a triple by carving boxes out of a two-generator grid.
 
     Any coprime pair (b0, b1) serves as the base and the third generator c
@@ -140,7 +140,7 @@ def delta3_via_diagram(g: Generators, strict: bool = False) -> GapSet:
     O(acc + b0) steps for the depths, acc <= b0, plus the sort of b0
     ascending runs holding the genus-many kept gaps.
 
-    Without a coprime pair, falls back to gap_set unless strict is set.
+    Without a coprime pair, falls back to gap_set.
     Raises TooManyGaps when b0 - 1 or the genus exceeds MAX_GAPS, before
     either is allocated.
     """
@@ -149,8 +149,6 @@ def delta3_via_diagram(g: Generators, strict: bool = False) -> GapSet:
     try:
         i, j, c = coprime_base(g)
     except NoCoprimeBasePair:
-        if strict:
-            raise
         return gap_set(g)
     d = g.elements
     b0, b1, carver = d[i], d[j], d[c]

@@ -11,12 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    Generators,
-    apery_set,
-    reachable_mask,
-    representable_pair,
-)
+from .core import MAX_GAPS, Generators, apery_set, is_representable
 from .errors import (
     DimensionUnsupported,
     InternalMismatch,
@@ -46,6 +41,16 @@ class RelationMatrix:
     def products(self, g: Generators) -> tuple:
         return tuple(self.diag[i] * g.elements[i] for i in range(self.m))
 
+    def failing_row(self, g: Generators) -> Optional[tuple]:
+        """(j, lhs, rhs) for the first row j whose identity
+        a_jj*d_j = sum_{i != j} a_ji*d_i fails, or None when every row holds."""
+        for j, (ajj, row) in enumerate(zip(self.diag, self.off), 1):
+            lhs = ajj * g.elements[j - 1]
+            rhs = sum(a * d for a, d in zip(row, g.elements))
+            if lhs != rhs:
+                return j, lhs, rhs
+        return None
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -56,24 +61,6 @@ class Classification:
     @property
     def kind(self) -> str:
         return "symmetric" if self.symmetric else "non-symmetric"
-
-
-def _subset_oracle(others):
-    """Representability tester over a fixed tuple, cheap to query repeatedly."""
-    if len(others) == 2:
-        a, b = others
-        return lambda t: representable_pair(t, a, b)
-    state = {"bound": -1, "mask": 1}
-
-    def query(t):
-        if t < 0:
-            return False
-        if t > state["bound"]:
-            state["bound"] = max(2 * t, 1024)
-            state["mask"] = reachable_mask(others, state["bound"])
-        return bool(state["mask"] >> t & 1)
-
-    return query
 
 
 def _least_multiple_in_pair(c: int, a: int, b: int) -> int:
@@ -111,8 +98,10 @@ def _least_multiple_in_pair(c: int, a: int, b: int) -> int:
 def diagonal_coefficient(g: Generators, j: int) -> int:
     """Smallest v >= 2 with v*d_j representable by the other generators (j 1-based).
 
-    O(1) for m = 2 and O(log d_j) steps for m = 3; for m >= 4 it tries
-    v = 2, 3, ... in turn.
+    O(1) for m = 2 and O(log d_j) steps for m = 3.  For m >= 4 it is the least
+    v >= 2 with v*d_j - d_i in S for some i != j, read off Ap(S, d_1): then
+    v*d_j = d_i + s has a factorisation f with f_i >= 1, so f_j < v,
+    (v - f_j)*d_j lies in <others> and, d_j being minimal, v - f_j >= 2.
     """
     d = g.elements
     dj = d[j - 1]
@@ -126,36 +115,46 @@ def diagonal_coefficient(g: Generators, j: int) -> int:
         # u*d_j in <a/k, b/k>; u = 1 is possible only when k > 1
         k = math.gcd(*others)
         return k * _least_multiple_in_pair(dj, others[0] // k, others[1] // k)
-    can = _subset_oracle(others)
+    ap = apery_set(g)
     for v in range(2, cap + 1):
-        if can(v * dj):
-            return v
+        for o in others:
+            if v * dj - o in ap:
+                return v
     raise InternalMismatch(f"no relation found for d_{j} of {g}")  # unreachable on valid input
 
 
-def _lex_witness(t: int, gens) -> Optional[tuple]:
-    """Lexicographically smallest (v_1..v_k) >= 0 with sum v_i*gens[i] == t."""
-    if not gens:
-        return () if t == 0 else None
+def _lex_witness(t: int, gens, suffixes: dict) -> Optional[tuple]:
+    """Lexicographically smallest (v_1..v_k) >= 0 with sum v_i*gens[i] == t.
+
+    Tries v_1 = 0, 1, ... and recurses on the remainder.  Past three
+    generators, when those loops would take more steps than building
+    Ap(gens[1:], gens[1]) and that set stays within MAX_GAPS, the set
+    (infinite where gens[1:] has gcd > 1) is built once, kept in suffixes
+    for the other rows, and screens the remainders first.
+    """
     if len(gens) == 1:
         return (t // gens[0],) if t % gens[0] == 0 else None
     if len(gens) == 2:
         a, b = gens
-        gcd_ab = math.gcd(a, b)
-        if t % gcd_ab:
+        k = math.gcd(a, b)
+        if t % k:
             return None
-        tr, ar, br = t // gcd_ab, a // gcd_ab, b // gcd_ab
         # smallest v_a with v_a*a == t (mod b)
-        va = (tr % br) * pow(ar, -1, br) % br if br > 1 else 0
+        va = t // k * pow(a // k, -1, b // k) % (b // k)
         rest = t - va * a
         return (va, rest // b) if rest >= 0 else None
-    can_rest = _subset_oracle(gens[1:])
+    rest_gens = gens[1:]
+    sub = suffixes.get(rest_gens)
+    if (sub is None and len(gens) > 3 and gens[1] - 1 <= MAX_GAPS
+            and math.prod(t // g + 1 for g in gens[:-2]) > len(rest_gens) * gens[1]):
+        sub = suffixes[rest_gens] = Generators(rest_gens)
     for v in range(t // gens[0] + 1):
         rest = t - v * gens[0]
-        if can_rest(rest):
-            tail = _lex_witness(rest, gens[1:])
-            if tail is not None:
-                return (v,) + tail
+        if sub is not None and not is_representable(rest, sub):
+            continue
+        w = _lex_witness(rest, rest_gens, suffixes)
+        if w is not None:
+            return (v,) + w
     return None
 
 
@@ -163,12 +162,13 @@ def relation_matrix(g: Generators) -> RelationMatrix:
     """The first minimal relation matrix with lex-smallest witnesses."""
     d = g.elements
     m = len(d)
+    suffixes = {}
     diag = []
     off = []
     for j in range(1, m + 1):
         ajj = diagonal_coefficient(g, j)
         others = d[:j - 1] + d[j:]
-        w = _lex_witness(ajj * d[j - 1], others)
+        w = _lex_witness(ajj * d[j - 1], others, suffixes)
         if w is None:
             raise InternalMismatch(f"witness vanished for row {j} of {g}")
         row = list(w[:j - 1]) + [0] + list(w[j - 1:])
@@ -244,10 +244,8 @@ def verify_standard_form(g: Generators, A: RelationMatrix) -> dict:
             raise StandardFormViolation(f"{name}: {detail} for {g}")
         checks[name] = True
 
-    for j in range(1, 4):
-        lhs = a(j, j) * g.elements[j - 1]
-        rhs = sum(a(j, i) * g.elements[i - 1] for i in range(1, 4) if i != j)
-        need("row_identities", lhs == rhs, f"row {j}: {lhs} != {rhs}")
+    bad = A.failing_row(g)
+    need("row_identities", bad is None, bad and "row {}: {} != {}".format(*bad))
     need("positivity", all(a(i, j) >= 1 for i in range(1, 4) for j in range(1, 4)),
          "zero off-diagonal entry")
     for j in range(1, 4):

@@ -1,33 +1,59 @@
 """Independent references the tests compare numsemi's fast routes against.
 
+reachable_mask: bitmask reachability by doubling shifts.  numsemi answers
+membership from Apéry sets and the O(log) pair test; the references below
+that need membership use this instead.
+
 gap_set_bitmask: numsemi reads gap sets off the Apéry set of d_1.  This
-route shares nothing with it but numsemi.reachable_mask: mark every
-representable integer up to a bound past the Frobenius number and list the
-unmarked ones.
+route marks every representable integer up to a bound past the Frobenius
+number and lists the unmarked ones.
 
 diagonal_coefficient_walk: numsemi finds a_jj of a triple on the Klein sail
 in O(log d_j) steps.  This route tries v = 2, 3, ... in turn and shares
 nothing with it but numsemi.representable_pair.
+
+relation_matrix_walk: numsemi reads the m >= 4 relation matrix off Apéry
+sets.  This route tries v = 2, 3, ... for each row and searches the
+lex-smallest witness with bitmask membership, sharing nothing with it but
+numsemi.representable_pair for two remaining generators.
 
 scan_uniform_bruteforce: numsemi enumerates the (a-1)^3 candidate relation
 matrices with diagonal (a, a, a).  This route tries every triple with
 d3 <= d3_max and keeps those whose relation matrix has that diagonal.
 """
 
+import itertools
 import math
 
 from numsemi import (
     GapSet,
+    RelationMatrix,
     UniformDiagonalRecord,
     classify,
     closed_form,
-    reachable_mask,
     relation_matrix,
     representable_pair,
     uniform_closed,
     validate_generators,
 )
 from numsemi.errors import InternalMismatch, ValidationError
+
+
+def reachable_mask(gens, bound: int) -> int:
+    """Bitmask of integers in [0, bound] representable over gens.
+
+    Doubling shifts: OR-ing shifted copies with offsets g, 2g, 4g, ... closes
+    the mask under +g because every multiple k*g is a sum of distinct
+    power-of-two multiples (binary expansion of k).
+    """
+    full = (1 << (bound + 1)) - 1
+    mask = 1
+    for g in gens:
+        step = g
+        while step <= bound:
+            mask |= (mask << step) & full
+            step <<= 1
+    return mask
 
 
 def _gap_bound(elems):
@@ -80,6 +106,51 @@ def diagonal_coefficient_walk(g, j: int) -> int:
         if representable_pair(v * dj, a, b):
             return v
     raise AssertionError(f"no relation found for d_{j} of {g}")
+
+
+def _subset_oracle(gens):
+    """Membership tester over a fixed tuple; the mask grows on demand."""
+    if len(gens) == 2:
+        return lambda t: representable_pair(t, *gens)
+    state = {"bound": -1, "mask": 1}
+
+    def query(t):
+        if t < 0:
+            return False
+        if t > state["bound"]:
+            state["bound"] = max(2 * t, 1024)
+            state["mask"] = reachable_mask(gens, state["bound"])
+        return bool(state["mask"] >> t & 1)
+
+    return query
+
+
+def _lex_witness_walk(t: int, gens):
+    """Lexicographically smallest (v_1..v_k) >= 0 with sum v_i*gens[i] == t."""
+    if len(gens) == 1:
+        return (t // gens[0],) if t % gens[0] == 0 else None
+    can_rest = _subset_oracle(gens[1:])
+    for v in range(t // gens[0] + 1):
+        rest = t - v * gens[0]
+        if can_rest(rest):
+            return (v,) + _lex_witness_walk(rest, gens[1:])
+    return None
+
+
+def relation_matrix_walk(g) -> RelationMatrix:
+    """First minimal relation matrix, m >= 3: row j takes the least v >= 2
+    with v*d_j in <others> by trying v = 2, 3, ..., and the lex-smallest
+    witness of v*d_j."""
+    d = g.elements
+    diag, off = [], []
+    for j in range(len(d)):
+        others = d[:j] + d[j + 1:]
+        can = _subset_oracle(others)
+        v = next(v for v in itertools.count(2) if can(v * d[j]))
+        w = _lex_witness_walk(v * d[j], others)
+        diag.append(v)
+        off.append(w[:j] + (0,) + w[j:])
+    return RelationMatrix(len(d), tuple(diag), tuple(off))
 
 
 def scan_uniform_bruteforce(a: int, d3_max: int) -> list:

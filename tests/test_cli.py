@@ -14,7 +14,7 @@ import pytest
 import numsemi
 import numsemi.cli as cli
 import numsemi.core
-from numsemi import GapSet, genus1_closed_3d, validate_generators
+from numsemi import AperySet, genus1_closed_3d, validate_generators
 from numsemi.cli import main
 from numsemi.errors import ValidationError
 
@@ -140,18 +140,69 @@ def test_oversized_diagrams_exit_2(capsys):
         assert err.startswith("error: TooManyGaps:")
 
 
-def test_hilbert_builds_the_apery_set_once(capsys, monkeypatch):
-    calls = []
-    real = numsemi.core.apery_set
+def test_frob_verify_builds_one_apery_set(capsys, monkeypatch):
+    # classify's cross-check, F, G and Q all read the same set: one pass
+    # adds d2 and d3 once each
+    added = []
+    real = numsemi.core._round_robin
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
-    monkeypatch.setattr(numsemi.core, "apery_set", counted)
-    monkeypatch.setattr(cli, "apery_set", counted)
+    def counted(w, b):
+        added.append(b)
+        real(w, b)
+    monkeypatch.setattr(numsemi.core, "_round_robin", counted)
+    code, out, _ = run(capsys, "frob", "563", "775", "903", "--verify")
+    assert code == 0 and "verified = true" in out
+    assert added == [775, 903]
+
+
+def test_frob_verify_on_a_paper_triple(capsys):
+    # 25,010,000 gaps: F and G come from Ap, with no gap listing
+    code, out, err = run(capsys, "frob", "10001", "10003", "20003", "--verify")
+    assert code == 0 and err == ""
+    assert "F = 50014999\nG = 25010000\n" in out
+    assert out.endswith("verified = true\n")
+
+
+def test_m4_family_relation_and_sparsity_in_under_a_second(capsys):
+    d = ("20001", "20003", "20007", "60001")
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "relation", *d)
+    assert time.monotonic() - t0 < 1
+    assert code == 0
+    assert out == ("    4    -1     0    -1\n"
+                   "   -2     3    -1     0\n"
+                   "   -1    -2  6001 -2000\n"
+                   "   -1     0 -6000  2001\n")
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "sparsity", *d)
+    assert time.monotonic() - t0 < 1
+    assert code == 0
+    assert "count = 18\nbound = 96010\n" in out and "diagonal_sum_ok = true" in out
+
+
+def test_m4_with_huge_d1_exits_2(capsys):
+    # d1 - 1 > MAX_GAPS: validation refuses before it allocates the Apéry set
+    d = [str(numsemi.MAX_GAPS + k) for k in (2, 3, 4, 5)]
+    for cmd in ("relation", "sparsity", "hilbert", "gaps"):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, cmd, *d)
+        assert time.monotonic() - t0 < 0.1
+        assert code == 2 and out == ""
+        assert err.startswith("error: TooManyGaps:")
+
+
+def test_hilbert_builds_the_apery_set_once(capsys, monkeypatch):
+    # F, the genus and Q read one set: one pass adds d2 and d3 once each
+    added = []
+    real = numsemi.core._round_robin
+
+    def counted(w, b):
+        added.append(b)
+        real(w, b)
+    monkeypatch.setattr(numsemi.core, "_round_robin", counted)
     code, _, _ = run(capsys, "hilbert", "100001", "100003", "200003")
     assert code == 0
-    assert len(calls) == 1
+    assert added == [100003, 200003]
 
 
 def test_genera_large_triple_reads_off_apery(capsys):
@@ -300,6 +351,14 @@ def test_sparsity_random_deterministic(capsys):
     assert out1 == out2
 
 
+def test_sparsity_random_at_d_max_10000(capsys):
+    code, out, _ = run(capsys, "sparsity", "--random", "20", "--m", "4",
+                       "--d-max", "10000", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["checked"], res["violations"]) == ("20", "0")
+
+
 def test_validation_error_exits_2(capsys):
     code, out, err = run(capsys, "gaps", "9", "21", "24")
     assert code == 2
@@ -320,12 +379,18 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    # a poisoned oracle must surface as an internal invariant violation
-    monkeypatch.setattr(cli, "gap_set", lambda g: GapSet((1,)))
+    # a poisoned Apéry set must surface as an internal invariant violation
+    monkeypatch.setattr(cli, "apery_set", lambda g: AperySet((0, 1)))
     code, out, err = run(capsys, "frob", "23", "29", "44", "--verify")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: InternalMismatch")
+
+
+def test_diagram_delta3_without_coprime_pair_exits_2(capsys):
+    code, out, err = run(capsys, "diagram", "--kind", "delta3", "6", "10", "15")
+    assert code == 2 and out == ""
+    assert err.startswith("error: NoCoprimeBasePair:")
 
 
 def _console_script_argv():

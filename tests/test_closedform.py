@@ -21,6 +21,7 @@ from numsemi import (
     validate_generators,
 )
 from numsemi.errors import InvalidInput, NotPrimitive, NonSymmetricInput, SymmetricInput
+from oracle import gap_set_bitmask
 
 
 def test_non_symmetric_goldens():
@@ -162,6 +163,15 @@ def test_frobenius_any():
         frobenius_any((4, 6))
     with pytest.raises(InvalidInput):
         frobenius_any((0, 3))
+
+
+def test_frobenius_any_drops_redundant_members_in_one_pass():
+    # the ascending pass keeps e unless it lies in <kept smaller ones>;
+    # from the fourth kept element on that test reads the Apéry set
+    for elems, kept in (((4, 6, 7, 8, 9, 10, 11), (4, 6, 7, 9)),
+                        ((11, 12, 14, 16, 18, 23, 25, 26), (11, 12, 14, 16, 18)),
+                        ((5, 7, 9, 10, 11, 12, 13), (5, 7, 9, 11, 13))):
+        assert frobenius_any(elems) == gap_set_bitmask(validate_generators(kept)).frobenius
 
 
 def test_johnson_reduce():

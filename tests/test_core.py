@@ -2,6 +2,7 @@
 validation, and Hilbert numerators."""
 
 import math
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,14 +21,13 @@ from numsemi import (
     is_representable,
     is_symmetric_gapset,
     phi_polynomial,
-    reachable_mask,
     representable_pair,
     sylvester_closed,
     validate_generators,
     verify_hilbert_identity,
 )
 from numsemi.errors import ContainsUnit, NotCoprime, NotMinimal, TooManyGaps, TooShort
-from oracle import gap_set_bitmask
+from oracle import gap_set_bitmask, reachable_mask
 
 
 def test_validate_sorts_and_normalizes():
@@ -112,6 +112,20 @@ def test_gap_set_refuses_oversized_listings():
             route(huge)
 
 
+def test_validation_refuses_a_huge_apery_set():
+    # m >= 4 validation builds Ap(S, d_1), so it refuses d_1 - 1 > MAX_GAPS
+    # at once; triples keep the O(log) pair tests and validate at any size
+    t0 = time.monotonic()
+    with pytest.raises(TooManyGaps):
+        validate_generators(tuple(MAX_GAPS + k for k in (2, 3, 4, 5)))
+    assert time.monotonic() - t0 < 0.1
+    # a redundant d2 or d3 is still reported first
+    with pytest.raises(NotMinimal):
+        validate_generators((MAX_GAPS + 2, MAX_GAPS + 3, 2 * MAX_GAPS + 5, 2 * MAX_GAPS + 7))
+    big = 10 ** 50
+    assert validate_generators((big + 1, big + 3, 2 * big + 7)).m == 3
+
+
 def test_sylvester_matches_oracle():
     for d1 in range(2, 40):
         for d2 in range(d1 + 1, 41):
@@ -183,7 +197,8 @@ def test_verify_hilbert_identity(sweep30_gaps):
     for entry, gs in sweep30_gaps[::7]:
         assert verify_hilbert_identity(entry.g, gs)
     for elems in ((2, 3), (4, 21, 26, 43), (4, 31, 37, 50), (5, 6, 7, 8, 9)):
-        assert verify_hilbert_identity(validate_generators(elems))
+        g = validate_generators(elems)
+        assert verify_hilbert_identity(g, gap_set_bitmask(g))
 
 
 @settings(deadline=None, max_examples=300)
@@ -204,6 +219,25 @@ def test_membership_is_additively_closed(elems, t):
     if is_representable(t, g):
         for d in g.elements:
             assert is_representable(t + d, g)
+
+
+def test_membership_below_d1_needs_no_apery_set():
+    # n < d_1 is in S only when n = 0, even where Ap(S, d_1) is too large
+    g = Generators((10 ** 7 + 1, 10 ** 7 + 3, 2 * 10 ** 7 + 7))
+    t0 = time.monotonic()
+    assert [is_representable(n, g) for n in (-1, 0, 5, 10 ** 7)] == [False, True, False, False]
+    assert time.monotonic() - t0 < 0.1
+    assert g._apery is None
+
+
+def test_membership_with_a_common_factor():
+    # <14, 16, 18> has gcd 2, so its Apéry set mod 14 is infinite on the odd
+    # residues; the relation-matrix witness search meets such sets
+    g = Generators((14, 16, 18))
+    assert math.inf in apery_set(g).w
+    mask = reachable_mask(g.elements, 300)
+    assert [is_representable(t, g) for t in range(-3, 301)] == \
+        [t >= 0 and bool(mask >> t & 1) for t in range(-3, 301)]
 
 
 @st.composite

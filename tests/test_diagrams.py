@@ -137,10 +137,11 @@ def test_delta3_base_pair_fallbacks():
     assert coprime_base(g) == (0, 2, 1)
     assert delta3_via_diagram(g).gaps == gap_set(g).gaps
 
-    # (6, 10, 15): no coprime pair at all; strict mode refuses, default defers
+    # (6, 10, 15): no coprime pair at all; there is no base, so the
+    # diagram route defers to gap_set
     g2 = validate_generators((6, 10, 15))
     with pytest.raises(NoCoprimeBasePair):
-        delta3_via_diagram(g2, strict=True)
+        coprime_base(g2)
     assert delta3_via_diagram(g2).gaps == gap_set(g2).gaps
 
 
@@ -186,7 +187,7 @@ def test_delta3_does_not_use_apery_or_grid(sweep30_gaps, monkeypatch):
             coprime_base(entry.g)
         except NoCoprimeBasePair:
             continue
-        assert delta3_via_diagram(entry.g, strict=True).gaps == gs.gaps, entry.g
+        assert delta3_via_diagram(entry.g).gaps == gs.gaps, entry.g
         checked += 1
     assert checked > 1000
 

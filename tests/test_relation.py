@@ -1,11 +1,13 @@
 """First minimal relation matrices: construction, classification, standard form."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import numsemi.core
 import numsemi.relation
 from numsemi import (
     Generators,
@@ -13,6 +15,7 @@ from numsemi import (
     classify,
     diagonal_coefficient,
     gap_set,
+    hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
     relation_matrix,
@@ -26,7 +29,7 @@ from numsemi.errors import (
     SymmetricInput,
     ValidationError,
 )
-from oracle import diagonal_coefficient_walk
+from oracle import diagonal_coefficient_walk, reachable_mask, relation_matrix_walk
 
 
 def test_matrix_goldens_three_generators():
@@ -122,6 +125,99 @@ def triples_with_shared_factors(draw):
 def test_diagonal_coefficient_matches_the_walk_on_large_triples(g):
     for j in (1, 2, 3):
         assert diagonal_coefficient(g, j) == diagonal_coefficient_walk(g, j), j
+
+
+def test_m4_matrices_match_the_walk_exhaustively():
+    # every minimal 4-tuple with d4 <= 40: diagonal and lex-smallest witnesses
+    checked = 0
+    for elems in itertools.combinations(range(4, 41), 4):
+        try:
+            g = validate_generators(elems)
+        except ValidationError:
+            continue
+        assert relation_matrix(g) == relation_matrix_walk(g), elems
+        checked += 1
+    assert checked == 28106
+
+
+@st.composite
+def tuples_with_shared_factors(draw):
+    """Minimal 4- to 7-tuples up to 200.
+
+    In half the draws every generator but d_1 is a multiple of some f prime
+    to d_1.  Then every generator set the witness search tests against
+    without d_1 has gcd > 1, so its Apéry set has infinite entries.
+    """
+    m = draw(st.integers(4, 7))
+    d1 = draw(st.integers(m, 80))
+    f = draw(st.integers(2, 7)) if draw(st.booleans()) else 1
+    assume(math.gcd(d1, f) == 1)
+    rest = draw(st.lists(st.integers(d1 // f + 1, 200 // f), min_size=m - 1,
+                         max_size=m - 1, unique=True))
+    kept = []
+    for e in sorted({d1, *(f * x for x in rest)}):  # only smaller ones can represent e
+        if not reachable_mask(kept, e) >> e & 1:
+            kept.append(e)
+    assume(len(kept) >= 4 and math.gcd(*kept) == 1)
+    return validate_generators(kept)
+
+
+@settings(deadline=None, max_examples=200)
+@given(tuples_with_shared_factors())
+@example(validate_generators((11, 12, 14, 16, 18)))
+@example(validate_generators((13, 15, 18, 21, 24, 27)))
+def test_m4_to_m7_matrices_match_the_walk(g):
+    assert relation_matrix(g) == relation_matrix_walk(g)
+
+
+def test_m4_builds_one_apery_set(monkeypatch):
+    # validation, the diagonal, membership and Q share one round-robin pass
+    added = []
+    real = numsemi.core._round_robin
+
+    def counted(w, b):
+        added.append(b)
+        real(w, b)
+    monkeypatch.setattr(numsemi.core, "_round_robin", counted)
+    g = validate_generators((20001, 20003, 20007, 60001))
+    assert relation_matrix(g).diag == (4, 3, 6001, 2001)
+    assert is_representable(60001 + 20003, g)
+    hilbert_numerator(g)
+    assert added == [20003, 20007, 60001]
+
+
+def test_witness_suffix_sets_are_shared_by_the_rows(monkeypatch):
+    # rows that test remainders against the same suffix read one Apéry set
+    built = []
+    real = numsemi.relation.Generators
+
+    def counted(elems):
+        built.append(elems)
+        return real(elems)
+    monkeypatch.setattr(numsemi.relation, "Generators", counted)
+    g = validate_generators((316, 318, 397, 423, 554, 817, 990))
+    assert relation_matrix(g) == relation_matrix_walk(g)
+    suffix_sets = [s for s in built if len(s) > 2]
+    assert len(suffix_sets) == 3 and len(set(suffix_sets)) == 3
+
+
+@pytest.mark.parametrize("elems", [
+    (11, 12, 14, 16, 18), (13, 15, 18, 21, 24, 27), (316, 318, 397, 423, 554, 817, 990),
+    (253, 286, 343, 445, 645, 723), (17, 19, 23, 29, 31)])
+def test_witness_search_without_suffix_sets(elems, monkeypatch):
+    # where a suffix's Apéry set would exceed MAX_GAPS, the search decides
+    # membership itself; with the limit at 0 it does so at every level
+    monkeypatch.setattr(numsemi.relation, "MAX_GAPS", 0)
+    added = []
+    real = numsemi.core._round_robin
+
+    def counted(w, b):
+        added.append(b)
+        real(w, b)
+    monkeypatch.setattr(numsemi.core, "_round_robin", counted)
+    g = validate_generators(elems)
+    assert relation_matrix(g) == relation_matrix_walk(g)
+    assert added == list(g.elements[1:])  # only validation's pass
 
 
 def _sigma(g, j):

@@ -76,3 +76,11 @@ def test_bounds_hold_on_random_sample():
         assert rep.count <= rep.bound <= rep.weak_bound
         assert diagonal_sum_check(g), g
         assert min_element_check(g), g
+
+
+def test_bounds_hold_far_beyond_small_generators():
+    # the m >= 4 matrix costs O(m*d1) per tuple, so d_max = 10^4 is cheap
+    for m, count in ((4, 20), (5, 10), (6, 5)):
+        for g in random_valid_tuples(count, m, 10_000, seed=m):
+            assert sparsity_check(g).holds, g
+            assert diagonal_sum_check(g), g
