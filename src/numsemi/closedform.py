@@ -61,11 +61,9 @@ def _inner_cross_j(g: Generators, A: RelationMatrix) -> tuple:
     return inner, cross, root
 
 
-def j_invariant(g: Generators, A: Optional[RelationMatrix] = None) -> int:
+def j_invariant(g: Generators) -> int:
     """J = |L1 - L2|, checked two ways (see _inner_cross_j)."""
-    if A is None:
-        A = relation_matrix(g)
-    return _inner_cross_j(g, A)[2]
+    return _inner_cross_j(g, relation_matrix(g))[2]
 
 
 def closed_form(g: Generators, A: Optional[RelationMatrix] = None,
@@ -124,8 +122,6 @@ def symmetric_closed(g: Generators, A: Optional[RelationMatrix] = None,
 
 def frobenius3(g: Generators, A: Optional[RelationMatrix] = None) -> ClosedForm3:
     """Dispatch on the symmetry classification."""
-    if A is None:
-        A = relation_matrix(g)
     cls = classify(g, A)
     if cls.symmetric:
         return symmetric_closed(g, A, cls)

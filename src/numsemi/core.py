@@ -34,9 +34,12 @@ class Generators:
     """A validated minimal generating tuple d_1 < ... < d_m, gcd 1."""
 
     elements: tuple
-    # Ap(S, d_1) once built (by validation or apery_set); not part of the value
+    # Ap(S, d_1) and the relation matrix once built (by validation, apery_set
+    # or relation.relation_matrix); not part of the value
     _apery: Optional["AperySet"] = field(default=None, init=False, compare=False,
                                          repr=False)
+    _relation: Optional["RelationMatrix"] = field(default=None, init=False,
+                                                  compare=False, repr=False)
 
     @property
     def m(self) -> int:

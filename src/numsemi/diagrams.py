@@ -97,23 +97,18 @@ def _carver_points(carver: int, b0: int, b1: int):
         raise NotAGap(f"{carver} is representable by ({b0}, {b1})")
 
 
-def _omega(k: int, carver: int, b0: int, b1: int):
-    """k-th carved set: a p x q box of gaps anchored at k*carver."""
-    t = k * carver
-    p, q = pq_of(t, b0, b1)
-    return frozenset(t + u1 * b0 + u2 * b1 for u1 in range(p) for u2 in range(q))
-
-
 def associated_set(g: Generators, k: int):
-    """Carved set Omega^k over the base pair (d1, d2), sorted."""
+    """Carved set Omega^k over the base pair (d1, d2), sorted: the p_k x q_k
+    box of gaps t + u1*d1 + u2*d2 anchored at t = k*d3 = sigma(p_k, q_k)."""
     if g.m != 3:
         raise InvalidInput(f"need a triple, got m={g.m}")
     d1, d2, d3 = g.elements
     if math.gcd(d1, d2) != 1:
         raise NotCoprime(f"base pair ({d1}, {d2}) is not coprime")
-    for acc, _ in enumerate(_carver_points(d3, d1, d2), 2):
+    for acc, (p, q) in enumerate(_carver_points(d3, d1, d2), 2):
         if acc == k + 1:
-            return tuple(sorted(_omega(k, d3, d1, d2)))
+            return tuple(sorted(k * d3 + u1 * d1 + u2 * d2
+                                for u1 in range(p) for u2 in range(q)))
     raise IndexOutOfRange(f"k = {k} outside [1, {acc})")
 
 
@@ -193,7 +188,7 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
         raise InvalidInput(f"need a triple, got m={g.m}")
     if A is None:
         A = relation_matrix(g)
-    if len(set(A.products(g))) < 3:
+    if A.collision(g):
         raise SymmetricInput(f"{g} generates a symmetric semigroup")
     d1, d2, d3 = g.elements
     a = A.entry
@@ -213,14 +208,12 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
     return LambdaSet(entries, tuple(values))
 
 
-def shift_difference_identity(g: Generators, A: Optional[RelationMatrix] = None) -> bool:
+def shift_difference_identity(g: Generators) -> bool:
     """(1 - z^{d2}) * [sum_{k<d1} z^k - (1 - z^{d1}) Phi] telescopes to the
     left/right edge columns of the lambda diagram.  The bracket is the sum of
     z^w over the Apéry set of d1."""
-    if A is None:
-        A = relation_matrix(g)
     _, d2, d3 = g.elements
-    a = A.entry
+    a = relation_matrix(g).entry
     bracket = SparsePolynomial.from_exponents(apery_set(g).w)
     lhs = SparsePolynomial.one_minus_z(d2) * bracket
     left = SparsePolynomial.from_exponents([v3 * d3 for v3 in range(a(3, 3))])
@@ -231,11 +224,9 @@ def shift_difference_identity(g: Generators, A: Optional[RelationMatrix] = None)
     return lhs == left - right
 
 
-def numerator_via_diagram(g: Generators, A: Optional[RelationMatrix] = None) -> SparsePolynomial:
+def numerator_via_diagram(g: Generators) -> SparsePolynomial:
     """Q = (1 - z^{d2}) (1 - z^{d3}) * sum_{lambda} z^lambda, no gap set needed."""
-    if A is None:
-        A = relation_matrix(g)
-    ls = lambda_set(g, A, verify=False)
+    ls = lambda_set(g, verify=False)
     d2, d3 = g.elements[1], g.elements[2]
     return (SparsePolynomial.one_minus_z(d2) * SparsePolynomial.one_minus_z(d3)
             * ls.polynomial())

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .core import Generators, GapSet, apery_set, sylvester_closed
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, SymmetricInput
 from .polynomial import SparsePolynomial
-from .relation import RelationMatrix, relation_matrix
+from .relation import relation_matrix
 
 
 def power_sums(gs: GapSet, n_max: int) -> list:
@@ -43,11 +42,10 @@ def genera2_closed(d1: int, d2: int):
     return (_as_int(g1, "g_1"), _as_int(g2, "g_2"), _as_int(g3, "g_3"))
 
 
-def genus1_closed_3d(g: Generators, A: Optional[RelationMatrix] = None) -> int:
+def genus1_closed_3d(g: Generators) -> int:
     """g_1 for a non-symmetric triple, straight from the relation matrix."""
-    if A is None:
-        A = relation_matrix(g)
-    if len(set(A.products(g))) < 3:
+    A = relation_matrix(g)
+    if A.collision(g):
         raise SymmetricInput(f"{g} generates a symmetric semigroup")
     d1, d2, d3 = g.elements
     a = A.entry
@@ -98,6 +96,8 @@ def genera(g: Generators, n_max: int = 3) -> list:
     Expanding B_{n+1} binomially leaves only D_e = sum_r (w[r]^e - r^e), so
     no gap is listed.
     """
+    if n_max < 0:
+        raise InvalidInput(f"need n >= 0, got {n_max}")
     d = g.elements[0]
     w = apery_set(g).w
     D = [sum(x ** e for x in w) - sum(r ** e for r in range(d))
@@ -114,11 +114,9 @@ def genera(g: Generators, n_max: int = 3) -> list:
             if closed[n - 1] != vals[n]:
                 raise InternalMismatch(
                     f"closed g_{n} = {closed[n - 1]} != power sum {vals[n]} for {g}")
-    if g.m == 3 and n_max >= 1:
-        A = relation_matrix(g)
-        if len(set(A.products(g))) == 3:
-            closed1 = genus1_closed_3d(g, A)
-            if closed1 != vals[1]:
-                raise InternalMismatch(
-                    f"closed g_1 = {closed1} != power sum {vals[1]} for {g}")
+    if g.m == 3 and n_max >= 1 and relation_matrix(g).collision(g) is None:
+        closed1 = genus1_closed_3d(g)
+        if closed1 != vals[1]:
+            raise InternalMismatch(
+                f"closed g_1 = {closed1} != power sum {vals[1]} for {g}")
     return vals

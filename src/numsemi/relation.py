@@ -7,6 +7,7 @@ for m >= 4 ties are broken lexicographically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -40,6 +41,15 @@ class RelationMatrix:
 
     def products(self, g: Generators) -> tuple:
         return tuple(self.diag[i] * g.elements[i] for i in range(self.m))
+
+    def collision(self, g: Generators) -> Optional[tuple]:
+        """First 1-based (i, k), i < k, with a_ii*d_i = a_kk*d_k, or None.
+        For m = 3 a collision is Herzog's symmetry criterion."""
+        prods = self.products(g)
+        for i, k in itertools.combinations(range(self.m), 2):
+            if prods[i] == prods[k]:
+                return i + 1, k + 1
+        return None
 
     def failing_row(self, g: Generators) -> Optional[tuple]:
         """(j, lhs, rhs) for the first row j whose identity
@@ -159,7 +169,10 @@ def _lex_witness(t: int, gens, suffixes: dict) -> Optional[tuple]:
 
 
 def relation_matrix(g: Generators) -> RelationMatrix:
-    """The first minimal relation matrix with lex-smallest witnesses."""
+    """The first minimal relation matrix with lex-smallest witnesses, built
+    at most once per Generators."""
+    if g._relation is not None:
+        return g._relation
     d = g.elements
     m = len(d)
     suffixes = {}
@@ -174,7 +187,8 @@ def relation_matrix(g: Generators) -> RelationMatrix:
         row = list(w[:j - 1]) + [0] + list(w[j - 1:])
         diag.append(ajj)
         off.append(tuple(row))
-    return RelationMatrix(m, tuple(diag), tuple(off))
+    object.__setattr__(g, "_relation", RelationMatrix(m, tuple(diag), tuple(off)))
+    return g._relation
 
 
 def classify(g: Generators, A: Optional[RelationMatrix] = None,
@@ -189,23 +203,16 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
         raise DimensionUnsupported(f"classify needs m=3, got m={g.m}")
     if A is None:
         A = relation_matrix(g)
-    prods = A.products(g)
-    pair = None
+    pair = A.collision(g)
     collision = None
-    for i in range(3):
-        for k in range(i + 1, 3):
-            if prods[i] == prods[k]:
-                pair = (i + 1, k + 1)
-                collision = prods[i]
-                break
-        if pair:
-            break
-    symmetric = pair is not None
-    if symmetric:
-        di, dk = g.elements[pair[0] - 1], g.elements[pair[1] - 1]
+    if pair is not None:
+        i, k = pair
+        di, dk = g.elements[i - 1], g.elements[k - 1]
+        collision = A.entry(i, i) * di
         if collision != math.lcm(di, dk):
             raise InternalMismatch(
                 f"collision {collision} != lcm({di},{dk}) = {math.lcm(di, dk)}")
+    symmetric = pair is not None
     if cross_check is None:
         cross_check = _cheap_gap_bound(g) <= 5_000_000
     if cross_check:
@@ -215,6 +222,11 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
 
 
 def _cheap_gap_bound(g: Generators) -> int:
+    """An upper bound on F + d_1, so on all of Ap(S, d_1), and above d_1^2:
+    the least d_i*d_j over coprime pairs (F(<d_i, d_j>) = d_i*d_j - d_i - d_j),
+    else 4*d_m^2 (Erdős and Graham, 1972: F < 2*d_m^2/m).  The bitmask gap DP,
+    now the tests' oracle, sized its mask by it; it gates classify's O(d_1)
+    Apéry cross-check."""
     best = None
     d = g.elements
     for i in range(len(d)):

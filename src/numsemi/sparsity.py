@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import Generators, hilbert_numerator, validate_generators
-from .errors import DimensionUnsupported, ValidationError
-from .polynomial import SparsePolynomial
-from .relation import RelationMatrix, classify, relation_matrix
+from .errors import DimensionUnsupported, InvalidInput, ValidationError
+from .relation import relation_matrix
 
 
 @dataclass(frozen=True)
@@ -33,20 +31,16 @@ class SparsityReport:
     holds: bool
 
 
-def sparsity_check(g: Generators, A: Optional[RelationMatrix] = None,
-                   Q: Optional[SparsePolynomial] = None) -> SparsityReport:
+def sparsity_check(g: Generators) -> SparsityReport:
     """Weighted numerator size against the diagonal-corrected bound."""
     if g.m < 3:
         raise DimensionUnsupported(f"sparsity bounds start at m=3, got m={g.m}")
-    if A is None:
-        A = relation_matrix(g)
-    if Q is None:
-        Q = hilbert_numerator(g)
-    count = Q.nonzero_count()
+    A = relation_matrix(g)
+    count = hilbert_numerator(g).nonzero_count()
     d1 = g.elements[0]
     m = g.m
     if m == 3:
-        expected = 4 if classify(g, A, cross_check=False).symmetric else 6
+        expected = 4 if A.collision(g) else 6
         return SparsityReport(m, d1, A.diag, count, expected, expected,
                               count == expected)
     slack = sum(A.diag[j] - 2 for j in range(1, m))
@@ -56,15 +50,13 @@ def sparsity_check(g: Generators, A: Optional[RelationMatrix] = None,
                           count <= bound <= weak)
 
 
-def diagonal_sum_check(g: Generators, A: Optional[RelationMatrix] = None) -> bool:
+def diagonal_sum_check(g: Generators) -> bool:
     """sum_{j>=2} a_jj <= d1 + 2(m-1)(1 - 2^(1-m)), cleared of denominators."""
     if g.m < 4:
         raise DimensionUnsupported(f"diagonal sum bound needs m >= 4, got m={g.m}")
-    if A is None:
-        A = relation_matrix(g)
     m = g.m
     half = 2 ** (m - 1)
-    lhs = half * sum(A.diag[1:])
+    lhs = half * sum(relation_matrix(g).diag[1:])
     rhs = half * g.elements[0] + 2 * (m - 1) * (half - 1)
     return lhs <= rhs
 
@@ -75,7 +67,9 @@ def min_element_check(g: Generators) -> bool:
 
 
 def random_valid_tuples(count: int, m: int, d_max: int, seed: int):
-    """Deterministic sample of validated m-tuples with elements <= d_max."""
+    """Deterministic sample of validated m-tuples with elements in [m, d_max]."""
+    if not 0 <= 2 * m <= d_max + 1:
+        raise InvalidInput(f"cannot draw m = {m} distinct integers from [{m}, {d_max}]")
     rng = random.Random(seed)
     out = []
     attempts = 0

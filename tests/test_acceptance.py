@@ -191,9 +191,9 @@ def test_criterion_4_oracle_sweep(acceptance, sweep60):
         assert delta3_via_diagram(e.g).gaps == gs.gaps, e.g
         if not e.cls.symmetric:
             lambda_set(e.g, e.A, verify=True)  # rectangle-count + identity
-            assert shift_difference_identity(e.g, e.A), e.g
-            assert numerator_via_diagram(e.g, e.A) == e.cf.Q, e.g
-            assert genus1_closed_3d(e.g, e.A) == sum(gs.gaps), e.g
+            assert shift_difference_identity(e.g), e.g
+            assert numerator_via_diagram(e.g) == e.cf.Q, e.g
+            assert genus1_closed_3d(e.g) == sum(gs.gaps), e.g
         checked += 1
     assert checked > 15000
     elapsed = time.monotonic() - t0
@@ -248,7 +248,7 @@ def test_criterion_5_property_suites(acceptance, sweep60, sweep30_gaps):
         assert a(2, 2) + a(3, 3) <= d1 + 1 <= a(2, 2) * a(3, 3), e.g
         assert a(3, 3) + a(1, 1) <= d2 + 1 <= a(3, 3) * a(1, 1), e.g
         assert a(1, 1) + a(2, 2) <= d3 + 1 <= a(1, 1) * a(2, 2), e.g
-        assert j_invariant(e.g, e.A) == e.cf.J >= 1, e.g
+        assert j_invariant(e.g) == e.cf.J >= 1, e.g
         L1, L2 = e.cf.L1, e.cf.L2
         assert L1 != L2, e.g
         assert L1 >= a(1, 1) * d1 + d3 and L2 >= a(1, 1) * d1 + d2, e.g

@@ -14,6 +14,7 @@ import pytest
 import numsemi
 import numsemi.cli as cli
 import numsemi.core
+import numsemi.relation
 from numsemi import AperySet, genus1_closed_3d, validate_generators
 from numsemi.cli import main
 from numsemi.errors import ValidationError
@@ -357,6 +358,33 @@ def test_sparsity_random_at_d_max_10000(capsys):
     assert code == 0
     res = json.loads(out)["result"]
     assert (res["checked"], res["violations"]) == ("20", "0")
+
+
+def test_sparsity_builds_the_relation_matrix_once(capsys, monkeypatch):
+    # sparsity_check and diagonal_sum_check both read the one cached matrix
+    calls = []
+    original = numsemi.relation.diagonal_coefficient
+
+    def counted(g, j):
+        calls.append(j)
+        return original(g, j)
+
+    monkeypatch.setattr(numsemi.relation, "diagonal_coefficient", counted)
+    code, out, _ = run(capsys, "sparsity", "1000", "300001", "300003", "300007", "300011")
+    assert code == 0 and "diagonal_sum_ok = true" in out
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def test_sparsity_random_with_too_few_integers_exits_2(capsys):
+    code, out, err = run(capsys, "sparsity", "--random", "3", "--m", "4", "--d-max", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidInput:") and "Traceback" not in err
+
+
+def test_genera_negative_n_exits_2(capsys):
+    code, out, err = run(capsys, "genera", "5", "7", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidInput:")
 
 
 def test_validation_error_exits_2(capsys):

@@ -296,7 +296,7 @@ def test_lambda_set_structure(sweep30_gaps):
 def test_shift_difference_identity(sweep30_gaps):
     for entry, _ in sweep30_gaps[::4]:
         if not entry.cls.symmetric:
-            assert shift_difference_identity(entry.g, entry.A)
+            assert shift_difference_identity(entry.g)
 
 
 def test_numerator_via_diagram():

@@ -53,7 +53,7 @@ def test_genus1_closed_3d_rejects_symmetric():
 def test_genus1_closed_matches_oracle(sweep30_gaps):
     for entry, gs in sweep30_gaps:
         if not entry.cls.symmetric:
-            assert genus1_closed_3d(entry.g, entry.A) == sum(gs.gaps), entry.g
+            assert genus1_closed_3d(entry.g) == sum(gs.gaps), entry.g
 
 
 def test_genera_matches_power_sums_over_oracle_gaps(sweep30_gaps):
@@ -80,6 +80,8 @@ def test_genera_dispatcher():
     assert genera(g2) == [4, 14, 70, 416]
     assert genera(g2, 0) == [4]
     assert genera(g2, 1) == [4, 14]
+    with pytest.raises(InvalidInput):
+        genera(g2, -1)
 
     g3 = validate_generators((23, 29, 44))
     assert genera(g3, 3) == [122, 9526, 1111746, 157610476]

@@ -1,5 +1,6 @@
 """First minimal relation matrices: construction, classification, standard form."""
 
+import inspect
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import numsemi
 import numsemi.core
 import numsemi.relation
 from numsemi import (
@@ -18,6 +20,7 @@ from numsemi import (
     hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
+    lambda_set,
     relation_matrix,
     validate_generators,
     verify_standard_form,
@@ -360,3 +363,64 @@ def test_standard_form_over_sweep(sweep30_gaps):
     for entry, _ in sweep30_gaps:
         if not entry.cls.symmetric:
             assert all(verify_standard_form(entry.g, entry.A).values()), entry.g
+
+
+def test_collision_is_the_first_equal_pair_of_diagonal_products():
+    sym = validate_generators((4, 5, 6))
+    assert relation_matrix(sym).collision(sym) == (1, 3) == classify(sym).pair
+    g = validate_generators((3, 4, 5))
+    assert relation_matrix(g).collision(g) is None
+    # products (60, 60, 60): every pair collides, the first one is reported
+    every = RelationMatrix(3, (20, 15, 12), ((0, 0, 0),) * 3)
+    assert every.collision(g) == (1, 2)
+    later = RelationMatrix(3, (2, 5, 4), ((0, 0, 0),) * 3)   # (6, 20, 20)
+    assert later.collision(g) == (2, 3)
+
+
+def test_relation_matrix_is_built_once_per_generators(monkeypatch):
+    g = validate_generators((23, 29, 44))
+    assert g._relation is None
+    built = relation_matrix(g)
+    calls = []
+    monkeypatch.setattr(numsemi.relation, "diagonal_coefficient",
+                        lambda *a: calls.append(a))
+    assert relation_matrix(g) is built and calls == []
+
+
+def test_cached_matrix_is_not_part_of_the_value():
+    cached, fresh = validate_generators((5, 7, 8)), validate_generators((5, 7, 8))
+    relation_matrix(cached)
+    assert cached._relation is not None and fresh._relation is None
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) == "Generators(5, 7, 8)"
+
+
+def test_an_explicit_matrix_never_enters_the_cache():
+    g = validate_generators((23, 29, 44))
+    real = relation_matrix(validate_generators((23, 29, 44)))
+    fake = RelationMatrix(3, (4, 3, 2), ((0, 1, 1), (1, 0, 1), (2, 1, 0)))
+    bad = RelationMatrix(3, (7, 7, 4), ((0, 2, 3), real.off[1], real.off[2]))
+    classify(g, fake, cross_check=False)
+    lambda_set(g, bad, verify=False)
+    assert g._relation is None
+    assert relation_matrix(g) == real
+
+
+def test_only_the_kept_functions_take_a_matrix_argument():
+    takes_a, optional_a = set(), set()
+    for name in numsemi.__all__:
+        obj = getattr(numsemi, name)
+        if not inspect.isfunction(obj):
+            continue
+        param = inspect.signature(obj).parameters.get("A")
+        if param is not None:
+            takes_a.add(name)
+            if param.default is None:
+                optional_a.add(name)
+    # g's own matrix comes from relation_matrix(g); A is for a matrix that
+    # may be another one (a tampered matrix in a test, or a family's
+    # closed-form matrix), and frobenius3 keeps it for callers that pass it on
+    assert optional_a == {"classify", "closed_form", "symmetric_closed",
+                          "lambda_set", "frobenius3"}
+    assert takes_a == optional_a | {"verify_standard_form",
+                                    "frobenius_matrix_only", "genus_matrix_only"}

@@ -9,7 +9,7 @@ from numsemi import (
     sparsity_check,
     validate_generators,
 )
-from numsemi.errors import DimensionUnsupported
+from numsemi.errors import DimensionUnsupported, InvalidInput
 
 
 def test_sparsity_goldens_m4():
@@ -67,6 +67,15 @@ def test_random_valid_tuples_deterministic():
     ]
     again = random_valid_tuples(5, 4, 100, seed=20260815)
     assert [g.elements for g in again] == [g.elements for g in sample]
+
+
+def test_random_valid_tuples_needs_m_integers_to_draw_from():
+    # [4, 7] holds exactly four integers, [4, 6] three
+    assert [g.elements for g in random_valid_tuples(1, 4, 7, seed=0)] == [(4, 5, 6, 7)]
+    with pytest.raises(InvalidInput):
+        random_valid_tuples(3, 4, 6, seed=0)
+    with pytest.raises(InvalidInput):
+        random_valid_tuples(3, -1, 100, seed=0)
 
 
 def test_bounds_hold_on_random_sample():
