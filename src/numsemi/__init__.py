@@ -78,6 +78,7 @@ from .errors import (
     NotPrimitive,
     NumsemiError,
     NuTooLarge,
+    OutputTooLarge,
     StandardFormViolation,
     SymmetricInput,
     TooManyGaps,

@@ -99,16 +99,25 @@ def admissible(d1: int, d2: int, d3: int):
     return True, None
 
 
+# Most bits conjecture_bound_check lets either side of its comparison reach
+MAX_POWER_BITS = 1 << 22
+
+
 def conjecture_bound_check(g: Generators, F: int, C: Fraction, nu: Fraction) -> BoundCheck:
     """Does F <= C * (d1...dm)^nu - sum d hold?  Cleared of denominators:
-    ((F + sum d) * c_d)^q  vs  c_n^q * (prod d)^p with nu = p/q, C = c_n/c_d."""
+    ((F + sum d) * c_d)^q  vs  c_n^q * (prod d)^p with nu = p/q, C = c_n/c_d.
+    Raises InvalidInput before powering when a side would pass MAX_POWER_BITS."""
     C = Fraction(C)
     nu = Fraction(nu)
     if C <= 0 or nu <= 0 or nu >= 1:
         raise InvalidInput(f"need C > 0 and 0 < nu < 1, got C={C}, nu={nu}")
     p, q = nu.numerator, nu.denominator
-    lhs = ((F + g.sum()) * C.denominator) ** q
-    rhs = C.numerator ** q * g.product() ** p
+    base, prod = (F + g.sum()) * C.denominator, g.product()
+    if max(q * base.bit_length(),
+           q * C.numerator.bit_length() + p * prod.bit_length()) > MAX_POWER_BITS:
+        raise InvalidInput(f"a side of the bound would pass {MAX_POWER_BITS} bits")
+    lhs = base ** q
+    rhs = C.numerator ** q * prod ** p
     return BoundCheck("conjectured_power_bound", "<=", lhs, rhs, lhs <= rhs)
 
 

@@ -36,7 +36,7 @@ from .diagrams import (
     lambda_set,
     render_diagram,
 )
-from .errors import InternalError, InternalMismatch, InvalidInput, ValidationError
+from .errors import InternalError, InternalMismatch, InvalidInput, OutputTooLarge, ValidationError
 from .genera import genera
 from .polynomial import SparsePolynomial
 from .relation import relation_matrix
@@ -72,6 +72,10 @@ def _poly_dict(p: SparsePolynomial) -> dict:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
+        # Fraction("1e<e>") builds 10^e: exponents get the mantissa's 4300-digit limit
+        exp = text.lower().partition("e")[2]
+        if exp and abs(int(exp)) > 4300:
+            raise InvalidInput(f"{what}: decimal exponent beyond ±4300")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidInput(f"cannot parse {what} = {text!r} as a rational")
@@ -326,18 +330,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         echo, result, human = args.func(args)
-    except ValidationError as e:
+        if args.json:
+            envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                        "input": echo, "result": result}
+            human = json.dumps(_stringify(envelope), indent=2, sort_keys=True) + "\n"
+    except (ValidationError, ValueError) as e:
+        # past the int-to-str digit limit, left as set: callers may share the process
+        if isinstance(e, ValueError):
+            if "integer string conversion" not in str(e):
+                raise
+            e = OutputTooLarge(f"a value has more than {sys.get_int_max_str_digits()} digits")
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except InternalError as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if args.json:
-        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                    "input": echo, "result": result}
-        print(json.dumps(_stringify(envelope), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(human)
+    sys.stdout.write(human)
     return 0
 
 

@@ -82,19 +82,21 @@ class GapSet:
 
 # --- representability primitives -------------------------------------------
 
+def pair_witness(t: int, a: int, b: int) -> Optional[tuple]:
+    """Lexicographically smallest (x, y) >= 0 with x*a + y*b == t, or None,
+    in O(log) time via a modular inverse."""
+    k = math.gcd(a, b)
+    if t < 0 or t % k:
+        return None
+    # smallest x >= 0 with x*a == t (mod b); a witness exists iff x*a <= t
+    x = t // k % (b // k) * pow(a // k, -1, b // k) % (b // k)
+    rest = t - x * a
+    return (x, rest // b) if rest >= 0 else None
+
+
 def representable_pair(t: int, a: int, b: int) -> bool:
-    """t == x*a + y*b with x, y >= 0, in O(log) time via modular inverse."""
-    if t < 0:
-        return False
-    g = math.gcd(a, b)
-    if t % g:
-        return False
-    t, a, b = t // g, a // g, b // g
-    if a == 1 or b == 1:
-        return True
-    # smallest x >= 0 with x*a == t (mod b); representable iff x*a <= t
-    x = (t % b) * pow(a, -1, b) % b
-    return x * a <= t
+    """t == x*a + y*b with x, y >= 0."""
+    return pair_witness(t, a, b) is not None
 
 
 def is_representable(n: int, g: Generators) -> bool:

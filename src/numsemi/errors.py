@@ -78,6 +78,10 @@ class TooManyGaps(ValidationError):
     pass
 
 
+class OutputTooLarge(ValidationError):
+    """A result has more decimal digits than int-to-str conversion allows."""
+
+
 # --- invariant violations --------------------------------------------------
 
 class InternalMismatch(InternalError):

@@ -7,10 +7,7 @@ set of d_1; power_sums and derivative_genera work on a listed gap set.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-from .core import Generators, GapSet, apery_set, sylvester_closed
+from .core import MAX_GAPS, Generators, GapSet, apery_set, sylvester_closed
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, SymmetricInput
 from .polynomial import SparsePolynomial
 from .relation import relation_matrix
@@ -18,28 +15,24 @@ from .relation import relation_matrix
 
 def power_sums(gs: GapSet, n_max: int) -> list:
     """[g_0, ..., g_n] with g_0 = genus."""
-    out = []
-    for n in range(n_max + 1):
-        out.append(sum(s ** n for s in gs.gaps))
-    return out
+    return [sum(s ** n for s in gs.gaps) for n in range(n_max + 1)]
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegerResult(f"{what} = {x} is not an integer")
-    return int(x)
+def _exact_div(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise NonIntegerResult(f"{what} = {num}/{den} is not an integer")
+    return q
 
 
 def genera2_closed(d1: int, d2: int):
     """(g_1, g_2, g_3) for two coprime generators, exact."""
     F, G, _, _ = sylvester_closed(d1, d2)
-    a, b = Fraction(d1), Fraction(d2)
-    g1 = Fraction(G) * (2 * a * b - a - b - 1) / 6
-    g2 = a * b * G * F / 6
-    g3 = (Fraction(G, 60)
-          * ((1 + a * b) * (1 + a * a + b * b + 6 * a * a * b * b)
-             + (a + b) * (1 + a * a + b * b - 9 * a * a * b * b)))
-    return (_as_int(g1, "g_1"), _as_int(g2, "g_2"), _as_int(g3, "g_3"))
+    a, b = d1, d2
+    g3 = G * ((1 + a * b) * (1 + a * a + b * b + 6 * a * a * b * b)
+              + (a + b) * (1 + a * a + b * b - 9 * a * a * b * b))
+    return (_exact_div(G * (2 * a * b - a - b - 1), 6, "g_1"),
+            _exact_div(a * b * G * F, 6, "g_2"), _exact_div(g3, 60, "g_3"))
 
 
 def genus1_closed_3d(g: Generators) -> int:
@@ -47,18 +40,14 @@ def genus1_closed_3d(g: Generators) -> int:
     A = relation_matrix(g)
     if A.collision(g):
         raise SymmetricInput(f"{g} generates a symmetric semigroup")
-    d1, d2, d3 = g.elements
-    a = A.entry
-    d = (d1, d2, d3)
-    quad = sum((a(i, i) - 1) * (2 * a(i, i) - 1) * d[i - 1] ** 2
-               for i in range(1, 4))
+    d, a = g.elements, A.entry
+    quad = sum((a(i, i) - 1) * (2 * a(i, i) - 1) * d[i - 1] ** 2 for i in range(1, 4))
     mixed = sum((3 * (a(i, i) - 1) * (a(j, j) - 1) - a(i, i) * a(j, j))
                 * d[i - 1] * d[j - 1]
                 for i in range(1, 4) for j in range(1, i))
     diag_prod = a(1, 1) * a(2, 2) * a(3, 3)
     linear = sum((2 * a(j, j) - 3) * d[j - 1] for j in range(1, 4))
-    total = Fraction(-1 + d1 * d2 * d3 + quad + mixed - diag_prod * linear, 12)
-    return _as_int(total, "g_1")
+    return _exact_div(-1 + d[0] * d[1] * d[2] + quad + mixed - diag_prod * linear, 12, "g_1")
 
 
 def derivative_genera(gs: GapSet, n_max: int = 3) -> list:
@@ -77,12 +66,12 @@ def derivative_genera(gs: GapSet, n_max: int = 3) -> list:
     return vals[:n_max + 1]
 
 
-def _bernoulli(n: int) -> list:
-    """B_0..B_n with B_1 = -1/2, from sum_{j<=k} C(k+1, j) B_j = 0."""
-    B = [Fraction(1)]
-    for k in range(1, n + 1):
-        B.append(-sum(math.comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
-    return B
+# genera answers only when d_1*(n + 2)^2 <= GENERA_STEPS, counting power-sum
+# steps, and (d_1 + n)*(n + 1)^2*b <= GENERA_WORK, weighing those steps and the
+# recurrence's products by the bits of the largest power (b = bits of max Ap).
+# n = 3 passes for every d_1 apery_set admits while max Ap < 2^134.
+GENERA_STEPS = 25 * (MAX_GAPS + 1)
+GENERA_WORK = 2 ** 32
 
 
 def genera(g: Generators, n_max: int = 3) -> list:
@@ -90,33 +79,42 @@ def genera(g: Generators, n_max: int = 3) -> list:
     O(n*d_1) steps, with closed-form cross-checks where they exist (two
     coprime generators; first genus of a non-symmetric triple).
 
-    Residue r holds the gaps r, r + d, ..., w[r] - d (d = d_1), and
-    Faulhaber's formula sums a progression through Bernoulli polynomials:
-    sum_{k<K} (r + k*d)^n = d^n (B_{n+1}(r/d + K) - B_{n+1}(r/d)) / (n+1).
-    Expanding B_{n+1} binomially leaves only D_e = sum_r (w[r]^e - r^e), so
-    no gap is listed.
+    Residue r holds the gaps x = r, r + d, ..., w[r] - d (d = d_1), over which
+    (x + d)^(n+1) - x^(n+1) telescopes to w[r]^(n+1) - r^(n+1).  Expanding
+    binomially and summing over r gives
+    D_(n+1) = sum_r (w[r]^(n+1) - r^(n+1)) = sum_{i<=n} C(n+1, i) d^(n+1-i) g_i,
+    so g_n is one exact division by (n+1)*d; no gap is listed.  Raises
+    InvalidInput for n < 0 or past the budget, before any power is taken.
     """
     if n_max < 0:
         raise InvalidInput(f"need n >= 0, got {n_max}")
     d = g.elements[0]
     w = apery_set(g).w
-    D = [sum(x ** e for x in w) - sum(r ** e for r in range(d))
-         for e in range(n_max + 2)]
-    B = _bernoulli(n_max)
+    if (d * (n_max + 2) ** 2 > GENERA_STEPS
+            or (d + n_max) * (n_max + 1) ** 2 * max(w).bit_length() > GENERA_WORK):
+        raise InvalidInput(f"g_0..g_{n_max} of {g} exceed the genera budget")
+    D = [0] * (n_max + 2)
+    for lo in range(0, d, 4096):    # slices keep the power lists short for large d_1
+        ws, rs = w[lo:lo + 4096], range(lo, min(d, lo + 4096))
+        pw, pr = ws, rs
+        for e in range(1, n_max + 2):
+            if e > 1:
+                pw = [p * x for p, x in zip(pw, ws)]
+                pr = [p * r for p, r in zip(pr, rs)]
+            D[e] += sum(pw) - sum(pr)
     vals = []
     for n in range(n_max + 1):
-        total = sum(math.comb(n + 1, j) * B[j] * Fraction(d) ** (j - 1) * D[n + 1 - j]
-                    for j in range(n + 1))
-        vals.append(_as_int(total / (n + 1), f"g_{n}"))
-    if g.m == 2 and n_max >= 1:
-        closed = genera2_closed(g.elements[0], g.elements[1])
-        for n in range(1, min(n_max, 3) + 1):
-            if closed[n - 1] != vals[n]:
-                raise InternalMismatch(
-                    f"closed g_{n} = {closed[n - 1]} != power sum {vals[n]} for {g}")
-    if g.m == 3 and n_max >= 1 and relation_matrix(g).collision(g) is None:
-        closed1 = genus1_closed_3d(g)
-        if closed1 != vals[1]:
-            raise InternalMismatch(
-                f"closed g_1 = {closed1} != power sum {vals[1]} for {g}")
+        t, rest = (n + 1) * d, D[n + 1]
+        for k in range(2, n + 2):
+            t = t * (n + 2 - k) * d // k        # C(n+1, k) * d^k
+            rest -= t * vals[n + 1 - k]
+        vals.append(_exact_div(rest, (n + 1) * d, f"g_{n}"))
+    closed = ()
+    if g.m == 2:
+        closed = genera2_closed(*g.elements)
+    elif g.m == 3 and n_max >= 1 and relation_matrix(g).collision(g) is None:
+        closed = (genus1_closed_3d(g),)
+    for n, c in enumerate(closed[:n_max], 1):
+        if c != vals[n]:
+            raise InternalMismatch(f"closed g_{n} = {c} != power sum {vals[n]} for {g}")
     return vals

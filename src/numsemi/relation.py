@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MAX_GAPS, Generators, apery_set, is_representable
+from .core import MAX_GAPS, Generators, apery_set, is_representable, pair_witness
 from .errors import (
     DimensionUnsupported,
     InternalMismatch,
@@ -145,14 +145,7 @@ def _lex_witness(t: int, gens, suffixes: dict) -> Optional[tuple]:
     if len(gens) == 1:
         return (t // gens[0],) if t % gens[0] == 0 else None
     if len(gens) == 2:
-        a, b = gens
-        k = math.gcd(a, b)
-        if t % k:
-            return None
-        # smallest v_a with v_a*a == t (mod b)
-        va = t // k * pow(a // k, -1, b // k) % (b // k)
-        rest = t - va * a
-        return (va, rest // b) if rest >= 0 else None
+        return pair_witness(t, *gens)
     rest_gens = gens[1:]
     sub = suffixes.get(rest_gens)
     if (sub is None and len(gens) > 3 and gens[1] - 1 <= MAX_GAPS
@@ -196,8 +189,8 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
     """Symmetric iff some diagonal products a_ii*d_i collide.
 
     The matrix verdict is cross-checked against the definition-based Apéry
-    symmetry test whenever _cheap_gap_bound(g) <= 5*10^6 (or
-    cross_check=True).
+    symmetry test, an O(d_1) pass, whenever d_1 <= 2236 = floor(sqrt(5*10^6))
+    (or cross_check=True).
     """
     if g.m != 3:
         raise DimensionUnsupported(f"classify needs m=3, got m={g.m}")
@@ -213,28 +206,10 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
             raise InternalMismatch(
                 f"collision {collision} != lcm({di},{dk}) = {math.lcm(di, dk)}")
     symmetric = pair is not None
-    if cross_check is None:
-        cross_check = _cheap_gap_bound(g) <= 5_000_000
-    if cross_check:
+    if cross_check or (cross_check is None and g.elements[0] <= 2236):
         if apery_set(g).is_symmetric() != symmetric:
             raise InternalMismatch(f"matrix/definition symmetry disagree for {g}")
     return Classification(symmetric, pair, collision)
-
-
-def _cheap_gap_bound(g: Generators) -> int:
-    """An upper bound on F + d_1, so on all of Ap(S, d_1), and above d_1^2:
-    the least d_i*d_j over coprime pairs (F(<d_i, d_j>) = d_i*d_j - d_i - d_j),
-    else 4*d_m^2 (Erdős and Graham, 1972: F < 2*d_m^2/m).  The bitmask gap DP,
-    now the tests' oracle, sized its mask by it; it gates classify's O(d_1)
-    Apéry cross-check."""
-    best = None
-    d = g.elements
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            if math.gcd(d[i], d[j]) == 1:
-                f = d[i] * d[j]
-                best = f if best is None else min(best, f)
-    return best if best is not None else 4 * d[-1] ** 2
 
 
 def verify_standard_form(g: Generators, A: RelationMatrix) -> dict:

@@ -98,6 +98,12 @@ def test_conjecture_bound_rejections():
         conjecture_bound_check(g, 2, Fraction(0), Fraction(1, 2))
     with pytest.raises(InvalidInput):
         conjecture_bound_check(g, 2, Fraction(1), Fraction(1))
+    # refused before powering: (F + sum d)^(10^6) of the paper triple would
+    # have about 2.6*10^7 bits, more than MAX_POWER_BITS = 2^22
+    big = validate_generators((10001, 10003, 20003))
+    with pytest.raises(InvalidInput):
+        conjecture_bound_check(big, 50014999, Fraction(1), Fraction(1, 10 ** 6))
+    assert not conjecture_bound_check(big, 50014999, Fraction(1), Fraction(1, 10 ** 4)).holds
 
 
 def test_family_member_goldens():

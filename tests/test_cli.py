@@ -387,6 +387,70 @@ def test_genera_negative_n_exits_2(capsys):
     assert err.startswith("error: InvalidInput:")
 
 
+def _refused_fast(capsys, *argv):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 0.1, argv
+    assert code == 2 and out == "", argv
+    assert err.startswith("error: InvalidInput:") and "Traceback" not in err, err
+
+
+def test_genera_past_its_budget_exits_2_at_once(capsys):
+    _refused_fast(capsys, "genera", "3", "5", "--n", "3000")
+    _refused_fast(capsys, "genera", "10001", "10003", "20003", "--n", "1000")
+    code, out, _ = run(capsys, "genera", "3", "5", "--n", "250")
+    assert code == 0 and out.count("\n") == 251
+    code, out, _ = run(capsys, "genera", "10001", "10003", "20003")
+    assert code == 0 and out.startswith("g_0 = ")
+
+
+def test_falsify_refuses_oversized_powers_and_exponents_at_once(capsys):
+    _refused_fast(capsys, "falsify", "--nu", "1/1000000", "--triple", "10001", "10003", "20003")
+    _refused_fast(capsys, "falsify", "--C", "1e1000000", "--nu", "5/8", "--l", "2")
+    _refused_fast(capsys, "falsify", "--nu", "1e-1000000", "--l", "2")
+    code, out, _ = run(capsys, "falsify", "--C", "1e4300", "--nu", "5/8", "--l", "2")
+    assert code == 0 and out.startswith("verdict = HOLDS\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["frob", str(2 * 10 ** 2500 + 1), str(2 * 10 ** 2500 + 3), str(4 * 10 ** 2500 + 3)],
+    ["falsify", "--nu", "5/8", "--l", str(10 ** 2500)],
+    ["genera", "3", str(10 ** 40 + 1), "--n", "120"],
+    ["falsify", "--nu", "1/10000", "--triple", "10001", "10003", "20003", "--json"],
+], ids=["frob", "falsify-l", "genera", "falsify-json"])
+def test_values_past_the_digit_limit_exit_2(capsys, argv):
+    # Python refuses to render an int of more than 4300 decimal digits
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: OutputTooLarge:") and "Traceback" not in err
+
+
+def _readme_examples():
+    """(argv, stdout) for every `$ numsemi ...` example in README.md."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ numsemi "):
+            out = []
+            for nxt in lines[i + 1:]:
+                if not nxt or nxt.startswith("```"):
+                    break
+                out.append(nxt + "\n")
+            examples.append((line[len("$ numsemi "):], "".join(out)))
+    return examples
+
+
+@pytest.mark.parametrize("command, expected", _readme_examples(),
+                         ids=[c for c, _ in _readme_examples()])
+def test_readme_example(capsys, command, expected):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and out == expected
+
+
+def test_readme_has_examples():
+    assert len(_readme_examples()) == 9
+
+
 def test_validation_error_exits_2(capsys):
     code, out, err = run(capsys, "gaps", "9", "21", "24")
     assert code == 2

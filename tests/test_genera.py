@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from numsemi import (
     GapSet,
@@ -91,3 +93,32 @@ def test_genera_dispatcher():
 
     g4 = validate_generators((4, 21, 26, 43))
     assert genera(g4, 1)[0] == 21
+
+
+@st.composite
+def _tuples(draw):
+    """Valid m-tuples, m = 2..5: d_1 and m - 1 elements of (d_1, 2*d_1), none
+    of which is a sum of two generators, so the tuple is minimal once coprime."""
+    m = draw(st.integers(2, 5))
+    d1 = draw(st.integers(m, 40))
+    rest = draw(st.lists(st.integers(d1 + 1, 2 * d1 - 1), min_size=m - 1,
+                         max_size=m - 1, unique=True))
+    elems = (d1, *sorted(rest))
+    assume(math.gcd(*elems) == 1)
+    return elems
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tuples(), st.integers(0, 40))
+def test_genera_recurrence_matches_bitmask_power_sums(elems, n):
+    g = validate_generators(elems)
+    assert genera(g, n) == power_sums(gap_set_bitmask(g), n)
+
+
+def test_genera_budget():
+    # refused before any power: n = 3000 for (3, 5), n = 1000 for the paper
+    # triple, and (3, 2^64 + 1) at n = 1000, which the d_1 steps alone admit
+    for elems, n in (((3, 5), 3000), ((10001, 10003, 20003), 1000), ((3, 2 ** 64 + 1), 1000)):
+        with pytest.raises(InvalidInput):
+            genera(validate_generators(elems), n)
+    assert len(genera(validate_generators((100001, 100003)), 3)) == 4

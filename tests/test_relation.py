@@ -300,8 +300,7 @@ def test_classify_cross_check_catches_a_wrong_verdict():
 
 
 def test_classify_cross_check_gate(monkeypatch):
-    # by default the check runs iff the smallest coprime product d_i*d_j
-    # (4*d_3^2 without a coprime pair) is at most 5*10^6
+    # by default the O(d_1) Apéry check runs iff d_1 <= 2236
     checked = []
     apery_set = numsemi.relation.apery_set
 
@@ -311,12 +310,12 @@ def test_classify_cross_check_gate(monkeypatch):
 
     monkeypatch.setattr(numsemi.relation, "apery_set", spy)
     expected = {
-        (2235, 2237, 2239): True,    # 2235*2237 = 4,999,695
-        (2237, 2239, 2241): False,   # 2237*2239 = 5,008,643
-        (1000, 1002, 4999): True,    # gcd(d1, d2) = 2; 1000*4999 = 4,999,000
-        (1000, 1002, 5001): False,   # 1000*5001 = 5,001,000
-        (6, 74, 111): True,          # no coprime pair; 4*111^2 = 49,284
-        (6, 802, 1203): False,       # no coprime pair; 4*1203^2 = 5,788,836
+        (2235, 2237, 2239): True,
+        (2237, 2239, 2241): False,
+        (1000, 1002, 4999): True,
+        (1000, 1002, 5001): True,
+        (6, 74, 111): True,
+        (6, 802, 1203): True,
     }
     for elems, runs in expected.items():
         checked.clear()
