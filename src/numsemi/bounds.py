@@ -99,7 +99,8 @@ def admissible(d1: int, d2: int, d3: int):
     return True, None
 
 
-# Most bits conjecture_bound_check lets either side of its comparison reach
+# Most bits conjecture_bound_check lets either side of its comparison reach,
+# and critical_l lets l_cr reach
 MAX_POWER_BITS = 1 << 22
 
 
@@ -226,7 +227,8 @@ def critical_l(C, nu) -> CriticalL:
 
     Exact when lg2 C is exactly representable (C a power of two); otherwise
     a 1/64-granular bracket from integer comparisons of C^64 against powers
-    of two.
+    of two.  Raises InvalidInput, before powering, when an exact integer
+    lg2(l_cr) passes MAX_POWER_BITS.
     """
     C = Fraction(C)
     nu = Fraction(nu)
@@ -239,7 +241,10 @@ def critical_l(C, nu) -> CriticalL:
     base = 4 * nu - 1
     if exact_pow:
         lg = (base + Fraction(k, 64)) / denom
-        l_cr = 2 ** int(lg) if lg.denominator == 1 and lg >= 0 else None
+        powered = lg.denominator == 1 and lg >= 0
+        if powered and lg > MAX_POWER_BITS:
+            raise InvalidInput(f"lg2(l_cr) = {lg} passes {MAX_POWER_BITS}")
+        l_cr = 2 ** int(lg) if powered else None
         return CriticalL(C, nu, lg, lg, lg, l_cr)
     low = (base + Fraction(k, 64)) / denom
     high = (base + Fraction(k + 1, 64)) / denom

@@ -242,6 +242,8 @@ def apery_set(g: Generators) -> AperySet:
 def gap_set(g: Generators) -> GapSet:
     """Exact gap set read off the Apéry set, in time linear in the genus.
 
+    Residue r holds the gaps r, r + d_1, ..., w[r] - d_1; read_rows lists
+    these runs in order without a sort.
     Raises TooManyGaps when the genus exceeds MAX_GAPS.
     """
     d1 = g.elements[0]
@@ -249,8 +251,20 @@ def gap_set(g: Generators) -> GapSet:
     genus = ap.genus
     if genus > MAX_GAPS:
         raise TooManyGaps(f"{g} has {genus} gaps, more than {MAX_GAPS}")
-    runs = (range(r, w, d1) for r, w in enumerate(ap.w))
-    return GapSet(tuple(sorted(itertools.chain.from_iterable(runs))))
+    return GapSet(read_rows([range(r, w, d1) for r, w in enumerate(ap.w)]))
+
+
+def read_rows(runs: list) -> tuple:
+    """Union of runs r, r + s, r + 2s, ... of positive integers, one per
+    start r < s, given in increasing order of r.  Row k of the runs holds the
+    members in [k*s, (k+1)*s) in ascending order, so reading the rows one
+    after another lists the union sorted in O(s + max) steps, with no sort."""
+    # zip_longest pads the short runs with None; members are positive, so
+    # filter(None, ...) drops exactly the padding.  Both tuples are built from
+    # lists: tuple() of an iterator of unknown length grows by repeated
+    # reallocation, and over many listings that raised peak RSS step by step.
+    rows = itertools.zip_longest(*runs)
+    return tuple(list(filter(None, itertools.chain.from_iterable(rows))))
 
 
 def is_symmetric_gapset(gs: GapSet) -> bool:
@@ -299,7 +313,7 @@ def hilbert_numerator(g: Generators) -> SparsePolynomial:
     ap = apery_set(g)
     q = SparsePolynomial.from_exponents(ap.w)
     for dj in g.elements[1:]:
-        q = q * SparsePolynomial.one_minus_z(dj)
+        q = q.times_one_minus_z(dj)
     if q.degree != ap.frobenius + g.sum():
         raise InternalMismatch(
             f"deg Q = {q.degree} != F + sum(d) = {ap.frobenius + g.sum()} for {g}"
@@ -313,6 +327,7 @@ def verify_hilbert_identity(g: Generators, gs: GapSet) -> bool:
     (1-z)(Phi + S_trunc) == 1 - z^(N+1)   and   trunc(prod(1-z^d_j) * S_trunc) == Q,
 
     with S_trunc from the Apéry set and Phi from gs, a gap set found another way.
+    The products here are generic, so Q is checked by a second kernel.
     """
     ap = apery_set(g)
     q = hilbert_numerator(g)

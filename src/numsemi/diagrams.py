@@ -9,12 +9,11 @@ column) carries the values 1..d1-1; the top layer is the row p = 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MAX_GAPS, Generators, GapSet, apery_set, gap_set, representable_pair
+from .core import MAX_GAPS, Generators, GapSet, apery_set, gap_set, read_rows, representable_pair
 from .errors import (
     IdentityViolation,
     IndexOutOfRange,
@@ -131,9 +130,11 @@ def delta3_via_diagram(g: Generators) -> GapSet:
     p <= depth(q) = max {p_k : q_k >= q}, and keeps
     sigma(p, q) for depth(q) < p <= pb(q).  So one walk over k records p_k
     at q_k, a suffix maximum turns that into depth, and the kept cells are
-    listed column by column; neither the grid nor a box is built.  Cost
-    O(acc + b0) steps for the depths, acc <= b0, plus the sort of b0
-    ascending runs holding the genus-many kept gaps.
+    listed; neither the grid nor a box is built.  Column q is the run
+    r, r + b0, ... from r = -q*b1 mod b0, so taking the columns in order of r
+    (q = -r/b1 mod b0) lets core.read_rows list the kept gaps row by row,
+    ascending.  Cost O(acc + b0) steps for the depths, acc <= b0, plus
+    O(F + b0) for the listing.
 
     Without a coprime pair, falls back to gap_set.
     Raises TooManyGaps when b0 - 1 or the genus exceeds MAX_GAPS, before
@@ -162,9 +163,10 @@ def delta3_via_diagram(g: Generators) -> GapSet:
         kept += b1 * (b0 - q) // b0 - depth[q]
     if kept > MAX_GAPS:
         raise TooManyGaps(f"{g} has {kept} gaps, more than {MAX_GAPS}")
-    runs = (range(b1 * (b0 - q) % b0, b1 * (b0 - q) - depth[q] * b0, b0)
-            for q in range(1, b0))
-    return GapSet(tuple(sorted(itertools.chain.from_iterable(runs))))
+    inv = pow(b1, -1, b0)           # the column starting at r is q = -r/b1 mod b0
+    runs = [range(b1 * (b0 - q) % b0, b1 * (b0 - q) - depth[q] * b0, b0)
+            for q in (-r * inv % b0 for r in range(1, b0))]
+    return GapSet(read_rows(runs))
 
 
 @dataclass(frozen=True)

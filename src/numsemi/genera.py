@@ -7,6 +7,8 @@ set of d_1; power_sums and derivative_genera work on a listed gap set.
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .core import MAX_GAPS, Generators, GapSet, apery_set, sylvester_closed
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, SymmetricInput
 from .polynomial import SparsePolynomial
@@ -93,18 +95,21 @@ def genera(g: Generators, n_max: int = 3) -> list:
     if (d * (n_max + 2) ** 2 > GENERA_STEPS
             or (d + n_max) * (n_max + 1) ** 2 * max(w).bit_length() > GENERA_WORK):
         raise InvalidInput(f"g_0..g_{n_max} of {g} exceed the genera budget")
-    D = [0] * (n_max + 2)
+    W = [0] * (n_max + 2)           # W_e = sum_r w[r]^e
     for lo in range(0, d, 4096):    # slices keep the power lists short for large d_1
-        ws, rs = w[lo:lo + 4096], range(lo, min(d, lo + 4096))
-        pw, pr = ws, rs
+        ws = pw = w[lo:lo + 4096]
         for e in range(1, n_max + 2):
             if e > 1:
                 pw = [p * x for p, x in zip(pw, ws)]
-                pr = [p * r for p, r in zip(pr, rs)]
-            D[e] += sum(pw) - sum(pr)
+            W[e] += sum(pw)
+    # R_e = sum_{r<d} r^e telescopes the same way: d^(e+1) = sum_{i<=e} C(e+1, i) R_i
+    R, row = [d], [1, 1]            # step e makes row e + 1 of Pascal's triangle
+    for e in range(1, n_max + 2):
+        row = [1, *map(add, row, row[1:]), 1]
+        R.append(_exact_div(d ** (e + 1) - sum(map(mul, row, R)), e + 1, f"R_{e}"))
     vals = []
     for n in range(n_max + 1):
-        t, rest = (n + 1) * d, D[n + 1]
+        t, rest = (n + 1) * d, W[n + 1] - R[n + 1]
         for k in range(2, n + 2):
             t = t * (n + 2 - k) * d // k        # C(n+1, k) * d^k
             rest -= t * vals[n + 1 - k]

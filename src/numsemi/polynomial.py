@@ -41,8 +41,8 @@ class SparsePolynomial:
 
     @classmethod
     def one_minus_z(cls, k: int) -> "SparsePolynomial":
-        """1 - z^k."""
-        return cls({0: 1, k: -1})
+        """1 - z^k (zero for k = 0)."""
+        return cls([(0, 1), (k, -1)])
 
     @classmethod
     def geometric(cls, k: int) -> "SparsePolynomial":
@@ -129,6 +129,21 @@ class SparsePolynomial:
         return out
 
     __rmul__ = __mul__
+
+    def times_one_minus_z(self, k: int) -> "SparsePolynomial":
+        """Multiply by 1 - z^k in one pass: t[d + k] -= c over a copy."""
+        if k < 0:
+            raise ValueError(f"negative degree {k}")
+        t = dict(self._terms)
+        for d, c in self._terms.items():
+            s = t.get(d + k, 0) - c
+            if s:
+                t[d + k] = s
+            else:
+                del t[d + k]
+        out = SparsePolynomial.__new__(SparsePolynomial)
+        out._terms = t
+        return out
 
     def shift(self, k: int) -> "SparsePolynomial":
         """Multiply by z^k."""

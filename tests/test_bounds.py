@@ -1,5 +1,6 @@
 """Lower bounds, admissibility, the counterexample family, critical scale."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from numsemi import (
     validate_generators,
     verify_standard_form,
 )
-from numsemi.bounds import MR_LIMIT
+from numsemi.bounds import MAX_POWER_BITS, MR_LIMIT
 from numsemi.errors import DimensionUnsupported, InvalidInput, NuTooLarge
 
 
@@ -182,6 +183,22 @@ def test_critical_l_values():
         critical_l(Fraction(1), Fraction(2, 3))
     with pytest.raises(InvalidInput):
         critical_l(Fraction(0), Fraction(1, 2))
+
+
+def test_critical_l_refuses_a_huge_power_before_building_it():
+    # C = 2 and nu = 2L/(3L + 4) put lg2(l_cr) at exactly L
+    c = critical_l(Fraction(2), Fraction(2 * 300, 3 * 300 + 4))
+    assert c.exact == 300 and c.l_cr == 2 ** 300
+    at_edge = critical_l(Fraction(2), Fraction(2 * MAX_POWER_BITS, 3 * MAX_POWER_BITS + 4))
+    assert at_edge.l_cr == 2 ** MAX_POWER_BITS
+    L = 2 ** 26
+    t0 = time.monotonic()
+    with pytest.raises(InvalidInput, match="passes"):
+        critical_l(Fraction(2), Fraction(2 * L, 3 * L + 4))
+    assert time.monotonic() - t0 < 0.1
+    # an inexact lg2 builds nothing, so it is still answered
+    c3 = critical_l(Fraction(3), Fraction(2 * L, 3 * L + 4))
+    assert c3.l_cr is None and c3.low > MAX_POWER_BITS
 
 
 def test_is_prime():

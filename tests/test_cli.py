@@ -505,14 +505,26 @@ def _console_script_argv():
     return [sys.executable, "-c", code]
 
 
-def test_console_script_smoke():
-    # the child must import the same numsemi as this test, whatever
-    # PYTHONPATH the caller exported
+def _child_env():
+    """Environment in which a child imports the same numsemi as this test,
+    whatever PYTHONPATH the caller exported."""
     env = dict(os.environ)
     src = str(Path(numsemi.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_script_smoke():
     proc = subprocess.run(_console_script_argv() + ["gaps", "4", "5", "6"],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stdout == "1 2 3 7\n"
+
+
+def test_python_m_numsemi():
+    # a checkout that was never installed runs as `python -m numsemi`
+    proc = subprocess.run([sys.executable, "-m", "numsemi", "gaps", "4", "5", "6"],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "1 2 3 7\n"

@@ -273,3 +273,10 @@ def test_apery_route_matches_bitmask_oracle(g):
     assert ap.is_symmetric() == is_symmetric_gapset(oracle)
     if g.m == 3:
         assert classify(g, cross_check=False).symmetric == is_symmetric_gapset(oracle)
+
+
+@settings(deadline=None, max_examples=100)
+@given(generator_tuples())
+def test_hilbert_identity_over_random_tuples(g):
+    # Q from the one-pass binomial shifts, checked against generic products
+    assert verify_hilbert_identity(g, gap_set_bitmask(g))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numsemi.core
 import numsemi.diagrams
 from numsemi import (
     DiagramGrid,
@@ -190,6 +191,27 @@ def test_delta3_does_not_use_apery_or_grid(sweep30_gaps, monkeypatch):
         assert delta3_via_diagram(entry.g).gaps == gs.gaps, entry.g
         checked += 1
     assert checked > 1000
+
+
+def test_gap_listings_never_sort(sweep30_gaps, monkeypatch):
+    # both listings read their residue runs row by row instead of sorting;
+    # validation sorts its input, so every tuple is validated first
+    expected = [(validate_generators(e.g.elements), gs) for e, gs in sweep30_gaps]
+    for elems in ((4, 21, 26, 43), (4, 31, 37, 50), (5, 6, 7, 8, 9)):
+        g = validate_generators(elems)
+        expected.append((g, gap_set_bitmask(g)))
+    peak = validate_generators((699, 1048, 1397))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gap listing called sorted")
+    for module in (numsemi.core, numsemi.diagrams):
+        monkeypatch.setattr(module, "sorted", refuse, raising=False)
+    for g, gs in expected:
+        assert gap_set(g) == gs, g
+        if g.m == 3:
+            assert delta3_via_diagram(g) == gs, g
+    listing = gap_set(peak)
+    assert listing.genus == 243_602 and delta3_via_diagram(peak) == listing
 
 
 def test_delta3_large_golden():

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numsemi import SparsePolynomial, eval_fraction
@@ -14,6 +15,7 @@ def test_constructors():
     assert SparsePolynomial.one().items() == [(0, 1)]
     assert SparsePolynomial.monomial(5, -2).items() == [(5, -2)]
     assert SparsePolynomial.one_minus_z(7).items() == [(0, 1), (7, -1)]
+    assert SparsePolynomial.one_minus_z(0).is_zero()
     geo = SparsePolynomial.geometric(4)
     assert geo.items() == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
@@ -96,3 +98,24 @@ def test_multiplication_commutes(p, q):
         assert (p * q).is_zero()
     else:
         assert (p * q).degree == p.degree + q.degree
+
+
+@settings(deadline=None, max_examples=300)
+@given(_poly, st.integers(0, 12))
+@example(SparsePolynomial.geometric(3).shift(4), 1)       # collisions cancel inside
+@example(SparsePolynomial({0: 1, 3: 2, 6: 1}), 3)         # telescoping collisions
+@example(SparsePolynomial({5: -7}), 0)                    # k = 0: the result is zero
+@example(SparsePolynomial.zero(), 4)
+def test_times_one_minus_z_matches_the_product(p, k):
+    before = dict(p._terms)
+    assert p.times_one_minus_z(k) == p * SparsePolynomial.one_minus_z(k)
+    assert p._terms == before    # the factor is applied to a copy
+    if p.is_zero() or k == 0:
+        assert p.times_one_minus_z(k).is_zero()
+
+
+def test_times_one_minus_z_golden():
+    p = SparsePolynomial({0: 1, 3: 2, 6: 1}).times_one_minus_z(3)
+    assert p.items() == [(0, 1), (3, 1), (6, -1), (9, -1)]
+    with pytest.raises(ValueError):
+        p.times_one_minus_z(-1)
