@@ -42,11 +42,9 @@ from .core import (
     hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
-    phi_polynomial,
     representable_pair,
     sylvester_closed,
     validate_generators,
-    verify_hilbert_identity,
 )
 from .diagrams import (
     DiagramGrid,
@@ -85,14 +83,8 @@ from .errors import (
     TooShort,
     ValidationError,
 )
-from .genera import (
-    derivative_genera,
-    genera,
-    genera2_closed,
-    genus1_closed_3d,
-    power_sums,
-)
-from .polynomial import SparsePolynomial, eval_fraction
+from .genera import genera, genera2_closed, genus1_closed_3d
+from .polynomial import SparsePolynomial
 from .relation import (
     Classification,
     RelationMatrix,

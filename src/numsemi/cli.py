@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .closedform import frobenius3
 from .core import (
-    Generators,
     apery_set,
     gap_set,
     hilbert_numerator,

@@ -116,7 +116,7 @@ def symmetric_closed(g: Generators, A: Optional[RelationMatrix] = None,
     if F % 2 == 0:
         raise InternalMismatch(f"symmetric Frobenius number {F} is even for {g}")
     G = (1 + F) // 2
-    Q = SparsePolynomial.one_minus_z(lcm) * SparsePolynomial.one_minus_z(dj_term)
+    Q = SparsePolynomial.one_minus_z(lcm).times_one_minus_z(dj_term)
     return ClosedForm3(True, 2 * lcm + dj_term, dj_term, lcm + dj_term, lcm, F, G, Q)
 
 

@@ -213,35 +213,51 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
 def shift_difference_identity(g: Generators) -> bool:
     """(1 - z^{d2}) * [sum_{k<d1} z^k - (1 - z^{d1}) Phi] telescopes to the
     left/right edge columns of the lambda diagram.  The bracket is the sum of
-    z^w over the Apéry set of d1."""
-    _, d2, d3 = g.elements
-    a = relation_matrix(g).entry
-    bracket = SparsePolynomial.from_exponents(apery_set(g).w)
-    lhs = SparsePolynomial.one_minus_z(d2) * bracket
-    left = SparsePolynomial.from_exponents([v3 * d3 for v3 in range(a(3, 3))])
-    right = (SparsePolynomial.from_exponents(
-                 [a(2, 2) * d2 + v3 * d3 for v3 in range(a(1, 3))])
-             + SparsePolynomial.from_exponents(
-                 [a(1, 2) * d2 + v3 * d3 for v3 in range(a(1, 3), a(3, 3))]))
+    z^w over the Apéry set of d1; the edges are read off lambda_set: each row
+    v3 starts at v3*d3 and ends one step d2 past its last cell.
+
+    Raises SymmetricInput as lambda_set does.
+    """
+    d2 = g.elements[1]
+    cells = lambda_set(g, verify=False).entries
+    lhs = SparsePolynomial.from_exponents(apery_set(g).w).times_one_minus_z(d2)
+    left = SparsePolynomial.from_exponents(
+        v for (v2, _), v in cells.items() if v2 == 0)
+    right = SparsePolynomial.from_exponents(
+        v + d2 for (v2, v3), v in cells.items() if (v2 + 1, v3) not in cells)
     return lhs == left - right
 
 
 def numerator_via_diagram(g: Generators) -> SparsePolynomial:
     """Q = (1 - z^{d2}) (1 - z^{d3}) * sum_{lambda} z^lambda, no gap set needed."""
-    ls = lambda_set(g, verify=False)
-    d2, d3 = g.elements[1], g.elements[2]
-    return (SparsePolynomial.one_minus_z(d2) * SparsePolynomial.one_minus_z(d3)
-            * ls.polynomial())
+    _, d2, d3 = g.elements
+    lam = lambda_set(g, verify=False).polynomial()
+    return lam.times_one_minus_z(d2).times_one_minus_z(d3)
 
 
 # ---------------------------------------------------------------------------
 # rendering
+#
+# Each diagram kind is laid out as a picture: a title, an optional column
+# header, one label per row, the column labels, and its cells as tuples
+# (row, column, value, mark, fill) in drawing order.  Rows and columns count
+# from 0 at the top left.  One ASCII writer and one SVG writer draw every
+# picture.
 
 _FILL_BOTTOM = "#d9d9d9"
 _FILL_TOP = "#8c8c8c"
 _FILL_EXCLUDED = "#1a1a1a"
 _FILL_PLAIN = "#ffffff"
 _CELL = 24
+
+
+@dataclass(frozen=True)
+class _Picture:
+    title: str
+    corner: Optional[str]   # header text before the column labels; None: no header
+    rows: tuple             # ASCII label of each row
+    columns: tuple          # label of each column
+    cells: list             # (row, column, value, mark, fill)
 
 
 def render_diagram(obj, format: str = "ascii", excluded=None) -> str:
@@ -252,95 +268,74 @@ def render_diagram(obj, format: str = "ascii", excluded=None) -> str:
     if format not in ("ascii", "svg"):
         raise InvalidInput(f"unknown format {format!r}")
     if isinstance(obj, DiagramGrid):
-        if format == "ascii":
-            return _grid_ascii(obj, excluded or frozenset())
-        return _grid_svg(obj, excluded or frozenset())
-    if isinstance(obj, LambdaSet):
-        if format == "ascii":
-            return _lambda_ascii(obj)
-        return _lambda_svg(obj)
-    raise InvalidInput(f"cannot render {type(obj).__name__}")
+        picture = _grid_picture(obj, excluded or frozenset())
+    elif isinstance(obj, LambdaSet):
+        picture = _lambda_picture(obj)
+    else:
+        raise InvalidInput(f"cannot render {type(obj).__name__}")
+    return _ascii(picture) if format == "ascii" else _svg(picture)
 
 
-def _grid_ascii(grid: DiagramGrid, excluded) -> str:
-    if not grid.cells:
+def _grid_picture(grid: DiagramGrid, excluded) -> _Picture:
+    """Row p - 1 holds sigma(p, q) in column q - 1; cells row by row."""
+    cells = []
+    for (p, q), v in sorted(grid.cells.items()):
+        if v in excluded:
+            mark, fill = "#", _FILL_EXCLUDED
+        elif p == grid.bottom_layer[q][0]:
+            mark, fill = " ", _FILL_BOTTOM
+        elif p == 1:
+            mark, fill = " ", _FILL_TOP
+        else:
+            mark, fill = " ", _FILL_PLAIN
+        cells.append((p - 1, q - 1, v, mark, fill))
+    max_p = max((p for p, _ in grid.cells), default=0)
+    title = (f"sigma(p, q) grid for ({grid.d1}, {grid.d2})"
+             + (", carved cells marked #" if excluded else ""))
+    return _Picture(title, "p\\q ", tuple(f"{p:<4}" for p in range(1, max_p + 1)),
+                    tuple(range(1, grid.d1)), cells)
+
+
+def _lambda_picture(ls: LambdaSet) -> _Picture:
+    """Row v3 counted from the top (the largest v3 first), column v2; cells
+    column by column, bottom to top."""
+    max_v2 = max((v2 for v2, _ in ls.entries), default=-1)
+    max_v3 = max((v3 for _, v3 in ls.entries), default=-1)
+    cells = [(max_v3 - v3, v2, v, " ", _FILL_BOTTOM if v3 == 0 else _FILL_TOP)
+             for (v2, v3), v in sorted(ls.entries.items())]
+    return _Picture("lambda diagram (rows v3, columns v2)", None,
+                    tuple(f"v3={v3:<3}" for v3 in range(max_v3, -1, -1)),
+                    tuple(range(max_v2 + 1)), cells)
+
+
+def _ascii(picture: _Picture) -> str:
+    if not picture.cells:
         return "(empty diagram)"
-    width = max(len(str(v)) for v in grid.cells.values()) + 1
-    max_p = max(p for p, _ in grid.cells)
-    lines = [f"sigma(p, q) grid for ({grid.d1}, {grid.d2})"
-             + (", carved cells marked #" if excluded else "")]
-    header = "p\\q " + "".join(f"{q:>{width}} " for q in range(1, grid.d1))
-    lines.append(header.rstrip())
-    for p in range(1, max_p + 1):
-        row = f"{p:<4}"
-        for q in range(1, grid.d1):
-            v = grid.cells.get((p, q))
-            if v is None:
-                row += " " * (width + 1)
-            else:
-                row += f"{v:>{width}}" + ("#" if v in excluded else " ")
-        lines.append(row.rstrip())
-    return "\n".join(lines) + "\n"
+    width = max(len(str(v)) for _, _, v, _, _ in picture.cells) + 1
+    grid = [[label] + [" " * (width + 1)] * len(picture.columns) for label in picture.rows]
+    for i, j, v, mark, _ in picture.cells:
+        grid[i][j + 1] = f"{v:>{width}}{mark}"
+    lines = [picture.title]
+    if picture.corner is not None:
+        lines.append(picture.corner + "".join(f"{c:>{width}} " for c in picture.columns))
+    lines += map("".join, grid)
+    return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
-def _svg_doc(width, height, body) -> str:
+def _svg(picture: _Picture) -> str:
+    body = []
+    for i, j, v, _, fill in picture.cells:
+        x, y = j * _CELL, i * _CELL
+        color = "#ffffff" if fill == _FILL_EXCLUDED else "#000000"
+        body.append(f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
+                    f'fill="{fill}" stroke="#555555"/>'
+                    f'<text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 3}" font-size="9" '
+                    f'text-anchor="middle" font-family="monospace" fill="{color}">'
+                    f'{v}</text>\n')
+    width, height = len(picture.columns) * _CELL, len(picture.rows) * _CELL
+    if not body:
+        body, width, height = ["<!-- empty diagram -->\n"], _CELL, _CELL
     return ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">\n'
             + "".join(body) + "</svg>\n")
-
-
-def _svg_cell(x, y, fill, text, dark_text=False):
-    color = "#ffffff" if dark_text else "#000000"
-    cx, cy = x + _CELL // 2, y + _CELL // 2 + 3
-    return (f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-            f'fill="{fill}" stroke="#555555"/>'
-            f'<text x="{cx}" y="{cy}" font-size="9" text-anchor="middle" '
-            f'font-family="monospace" fill="{color}">{text}</text>\n')
-
-
-def _grid_svg(grid: DiagramGrid, excluded) -> str:
-    if not grid.cells:
-        return _svg_doc(_CELL, _CELL, ['<!-- empty diagram -->\n'])
-    max_p = max(p for p, _ in grid.cells)
-    body = []
-    for (p, q), v in sorted(grid.cells.items()):
-        x, y = (q - 1) * _CELL, (p - 1) * _CELL
-        if v in excluded:
-            fill, dark = _FILL_EXCLUDED, True
-        elif p == grid.bottom_layer[q][0]:
-            fill, dark = _FILL_BOTTOM, False
-        elif p == 1:
-            fill, dark = _FILL_TOP, False
-        else:
-            fill, dark = _FILL_PLAIN, False
-        body.append(_svg_cell(x, y, fill, v, dark))
-    return _svg_doc((grid.d1 - 1) * _CELL, max_p * _CELL, body)
-
-
-def _lambda_ascii(ls: LambdaSet) -> str:
-    if not ls.entries:
-        return "(empty diagram)"
-    width = max(len(str(v)) for v in ls.values) + 1
-    max_v2 = max(v2 for v2, _ in ls.entries)
-    max_v3 = max(v3 for _, v3 in ls.entries)
-    lines = ["lambda diagram (rows v3, columns v2)"]
-    for v3 in range(max_v3, -1, -1):
-        row = f"v3={v3:<3}"
-        for v2 in range(max_v2 + 1):
-            v = ls.entries.get((v2, v3))
-            row += " " * (width + 1) if v is None else f"{v:>{width}} "
-        lines.append(row.rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _lambda_svg(ls: LambdaSet) -> str:
-    if not ls.entries:
-        return _svg_doc(_CELL, _CELL, ['<!-- empty diagram -->\n'])
-    max_v3 = max(v3 for _, v3 in ls.entries)
-    body = []
-    for (v2, v3), v in sorted(ls.entries.items()):
-        x, y = v2 * _CELL, (max_v3 - v3) * _CELL
-        body.append(_svg_cell(x, y, _FILL_BOTTOM if v3 == 0 else _FILL_TOP, v))
-    max_v2 = max(v2 for v2, _ in ls.entries)
-    return _svg_doc((max_v2 + 1) * _CELL, (max_v3 + 1) * _CELL, body)

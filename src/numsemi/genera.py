@@ -2,22 +2,16 @@
 
 Closed forms exist for two coprime generators (g_1, g_2, g_3) and for the
 first genus of a non-symmetric triple.  genera reads every g_n off the Apéry
-set of d_1; power_sums and derivative_genera work on a listed gap set.
+set of d_1 and checks it against those closed forms; no gap is listed.
 """
 
 from __future__ import annotations
 
 from operator import add, mul
 
-from .core import MAX_GAPS, Generators, GapSet, apery_set, sylvester_closed
+from .core import Generators, apery_set, sylvester_closed
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, SymmetricInput
-from .polynomial import SparsePolynomial
 from .relation import relation_matrix
-
-
-def power_sums(gs: GapSet, n_max: int) -> list:
-    """[g_0, ..., g_n] with g_0 = genus."""
-    return [sum(s ** n for s in gs.gaps) for n in range(n_max + 1)]
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -52,28 +46,18 @@ def genus1_closed_3d(g: Generators) -> int:
     return _exact_div(-1 + d[0] * d[1] * d[2] + quad + mixed - diag_prod * linear, 12, "g_1")
 
 
-def derivative_genera(gs: GapSet, n_max: int = 3) -> list:
-    """g_n from derivatives of Phi at z = 1:
-    g_1 = Phi', g_2 = Phi'' + Phi', g_3 = Phi''' + 3 Phi'' + Phi'."""
-    if not 0 <= n_max <= 3:
-        raise InvalidInput(f"derivative route implemented for n <= 3, got {n_max}")
-    phi = SparsePolynomial.from_exponents(gs.gaps)
-    d1 = phi.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    vals = [gs.genus,
-            d1.eval_at(1),
-            d2.eval_at(1) + d1.eval_at(1),
-            d3.eval_at(1) + 3 * d2.eval_at(1) + d1.eval_at(1)]
-    return vals[:n_max + 1]
-
-
-# genera answers only when d_1*(n + 2)^2 <= GENERA_STEPS, counting power-sum
-# steps, and (d_1 + n)*(n + 1)^2*b <= GENERA_WORK, weighing those steps and the
-# recurrence's products by the bits of the largest power (b = bits of max Ap).
-# n = 3 passes for every d_1 apery_set admits while max Ap < 2^134.
-GENERA_STEPS = 25 * (MAX_GAPS + 1)
-GENERA_WORK = 2 ** 32
+# genera answers only when its work estimate
+#     (n + 1) * (d_1 * (4096 + (n + 1) * b) + (n + 1)^3 * b * L / 128),
+# with b and L the bit lengths of max Ap and of d_1, is at most GENERA_WORK.
+# The first term counts the d_1*(n + 1) power-sum steps, each a fixed
+# interpreter cost worth 4096 units plus a product of up to (n + 1)*b bits.
+# The second counts the O(n^2) products of the two recurrences, each of an
+# O(n*L)-bit binomial term by an O(n*b)-bit power sum, at 1/128 unit per pair
+# of bits.  With 2^33 units the largest admitted n takes at most about 0.25 s
+# (CPython 3.11 on a Xeon server core) for pairs such as (2, 3), (3, 5) and
+# (5, 7), for the paper triple and for d_1 up to 10^5; n = 3 passes for
+# d_1 < 460,000 while max Ap < 2^134.
+GENERA_WORK = 2 ** 33
 
 
 def genera(g: Generators, n_max: int = 3) -> list:
@@ -92,8 +76,8 @@ def genera(g: Generators, n_max: int = 3) -> list:
         raise InvalidInput(f"need n >= 0, got {n_max}")
     d = g.elements[0]
     w = apery_set(g).w
-    if (d * (n_max + 2) ** 2 > GENERA_STEPS
-            or (d + n_max) * (n_max + 1) ** 2 * max(w).bit_length() > GENERA_WORK):
+    k, b = n_max + 1, max(w).bit_length()
+    if k * (d * (4096 + k * b) + k ** 3 * b * d.bit_length() // 128) > GENERA_WORK:
         raise InvalidInput(f"g_0..g_{n_max} of {g} exceed the genera budget")
     W = [0] * (n_max + 2)           # W_e = sum_r w[r]^e
     for lo in range(0, d, 4096):    # slices keep the power lists short for large d_1

@@ -6,8 +6,6 @@ ints or Fractions.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class SparsePolynomial:
     __slots__ = ("_terms",)
@@ -145,17 +143,6 @@ class SparsePolynomial:
         out._terms = t
         return out
 
-    def shift(self, k: int) -> "SparsePolynomial":
-        """Multiply by z^k."""
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = {d + k: c for d, c in self._terms.items()}
-        return out
-
-    def derivative(self) -> "SparsePolynomial":
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = {d - 1: c * d for d, c in self._terms.items() if d}
-        return out
-
     def eval_at(self, x):
         """Exact evaluation; x may be int or Fraction."""
         if x == 1:  # common case in genus work
@@ -192,6 +179,3 @@ class SparsePolynomial:
                 parts.append(f"{'+' if c > 0 else '-'} {body}")
         return " ".join(parts)
 
-
-def eval_fraction(p: SparsePolynomial, x: Fraction) -> Fraction:
-    return Fraction(p.eval_at(x))

@@ -66,18 +66,44 @@ def min_element_check(g: Generators) -> bool:
     return g.elements[0] >= g.m
 
 
+# random_valid_tuples refuses a request with count*m^3*d_max > SAMPLE_WORK.
+# sparsity_check on a tuple it draws takes up to about 1.8e-8 * m^3*d_max
+# seconds (the m >= 5 witness search and m passes over Q, measured for
+# m = 4..32 and d_max up to 40,000 on a Xeon server core), so a checked
+# sample stays near half a second.  Sampling gives up after SAMPLE_MISSES
+# invalid draws in a row, which is how a range too narrow for minimal
+# m-tuples shows: m = 30 in [30, 1100] draws none in 10^4.
+SAMPLE_WORK = 3 * 10 ** 7
+SAMPLE_MISSES = 100
+
+
 def random_valid_tuples(count: int, m: int, d_max: int, seed: int):
-    """Deterministic sample of validated m-tuples with elements in [m, d_max]."""
-    if not 0 <= 2 * m <= d_max + 1:
+    """Deterministic sample of validated m-tuples with elements in [m, d_max].
+
+    Raises InvalidInput, before drawing, for count < 0, m < 2, a range with
+    fewer than m integers or a request past SAMPLE_WORK, and after
+    SAMPLE_MISSES invalid draws in a row.
+    """
+    if count < 0:
+        raise InvalidInput(f"need count >= 0, got {count}")
+    if m < 2:
+        raise InvalidInput(f"need m >= 2, got {m}")
+    if 2 * m > d_max + 1:
         raise InvalidInput(f"cannot draw m = {m} distinct integers from [{m}, {d_max}]")
+    if count * m ** 3 * d_max > SAMPLE_WORK:
+        raise InvalidInput(f"a sample of {count} {m}-tuples up to {d_max} exceeds "
+                           f"the sampling budget count*m^3*d_max <= {SAMPLE_WORK}")
     rng = random.Random(seed)
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 10000 * count:
-        attempts += 1
+    misses = 0
+    while len(out) < count:
         cand = tuple(sorted(rng.sample(range(m, d_max + 1), m)))
         try:
             out.append(validate_generators(cand))
+            misses = 0
         except ValidationError:
-            continue
+            misses += 1
+            if misses == SAMPLE_MISSES:
+                raise InvalidInput(f"{misses} draws in a row from [{m}, {d_max}] were "
+                                   f"not minimal generating {m}-tuples")
     return out

@@ -11,7 +11,8 @@ a12, a13, a21 in [1, a-1] fix the rest: (a-1)^3 candidates, each with
 d_i = a^2 - a_jk*a_kj in [2a-1, a^2-1].  A candidate counts only if the
 relation matrix of its cofactors has diagonal (a, a, a), which rejects
 cofactors that share a factor or are not minimal.  The cost is O(a^3),
-whatever d3_max is.
+whatever d3_max is, and a scan of more than SCAN_CANDIDATES matrices is
+refused before the first one is formed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .closedform import closed_form
 from .core import validate_generators
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, ValidationError
 from .relation import RelationMatrix, classify, relation_matrix
+
+
+# Most candidate matrices scan_uniform forms: a = 31 with no pruning by
+# d3_max, about 0.4 s on a Xeon server core.  The bound (a - 2*lo + 1)^3 is
+# checked before the first matrix, so a = 60 (1.3 s) is refused at once.
+SCAN_CANDIDATES = 30 ** 3
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,10 @@ def scan_uniform(a: int, d3_max: int):
     # entry lies below lo = ceil(t/(a-1)), and every range keeps products >= t
     t = a * a - d3_max
     lo = max(1, -(-t // (a - 1)))
+    span = a - 2 * lo + 1           # each entry a12, a21, a13 takes at most span values
+    if span > 0 and span ** 3 > SCAN_CANDIDATES:
+        raise InvalidInput(f"a = {a} with d3_max = {d3_max} leaves up to {span ** 3} "
+                           f"candidate matrices, more than {SCAN_CANDIDATES}")
     triples = set()  # permuting a matrix's indices permutes its triple
     for a12 in range(lo, a - lo + 1):
         a32 = a - a12

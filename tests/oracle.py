@@ -20,6 +20,21 @@ numsemi.representable_pair for two remaining generators.
 scan_uniform_bruteforce: numsemi enumerates the (a-1)^3 candidate relation
 matrices with diagonal (a, a, a).  This route tries every triple with
 d3 <= d3_max and keeps those whose relation matrix has that diagonal.
+
+phi_polynomial: Phi = sum of z^s over a gap set, built term by term from the
+listed gaps; it needs no Apéry set, only the gap set it is given.
+
+power_sums: numsemi.genera reads g_n off the Apéry set through a telescoping
+recurrence.  This route raises every listed gap to every power and adds.
+
+derivative_genera: g_1..g_3 as derivatives of Phi at z = 1, the paper's
+route.  It differentiates Phi with its own derivative and shares neither the
+power sums nor the recurrence.
+
+verify_hilbert_identity: numsemi multiplies Q by each (1 - z^d_j) in one pass
+(SparsePolynomial.times_one_minus_z).  This check rebuilds the product with
+the generic SparsePolynomial product, a second kernel, and checks
+(1 - z)(Phi + S) = 1 - z^(N+1) with Phi from a gap set found another way.
 """
 
 import itertools
@@ -28,15 +43,18 @@ import math
 from numsemi import (
     GapSet,
     RelationMatrix,
+    SparsePolynomial,
     UniformDiagonalRecord,
+    apery_set,
     classify,
     closed_form,
+    hilbert_numerator,
     relation_matrix,
     representable_pair,
     uniform_closed,
     validate_generators,
 )
-from numsemi.errors import InternalMismatch, ValidationError
+from numsemi.errors import InternalMismatch, InvalidInput, ValidationError
 
 
 def reachable_mask(gens, bound: int) -> int:
@@ -175,3 +193,55 @@ def scan_uniform_bruteforce(a: int, d3_max: int) -> list:
                     raise InternalMismatch(f"uniform closed form disagrees for {g}")
                 out.append(UniformDiagonalRecord(g.elements, a, F, G, A))
     return sorted(out, key=lambda r: r.triple)
+
+
+def phi_polynomial(gs: GapSet) -> SparsePolynomial:
+    """Phi = sum of z^s over the gap set."""
+    return SparsePolynomial.from_exponents(gs.gaps)
+
+
+def power_sums(gs: GapSet, n_max: int) -> list:
+    """[g_0, ..., g_n] with g_0 = genus."""
+    return [sum(s ** n for s in gs.gaps) for n in range(n_max + 1)]
+
+
+def derivative(p: SparsePolynomial) -> SparsePolynomial:
+    return SparsePolynomial({d - 1: c * d for d, c in p.items() if d})
+
+
+def derivative_genera(gs: GapSet, n_max: int = 3) -> list:
+    """g_n from derivatives of Phi at z = 1:
+    g_1 = Phi', g_2 = Phi'' + Phi', g_3 = Phi''' + 3 Phi'' + Phi'."""
+    if not 0 <= n_max <= 3:
+        raise InvalidInput(f"derivative route implemented for n <= 3, got {n_max}")
+    d1 = derivative(phi_polynomial(gs))
+    d2 = derivative(d1)
+    d3 = derivative(d2)
+    vals = [gs.genus,
+            d1.eval_at(1),
+            d2.eval_at(1) + d1.eval_at(1),
+            d3.eval_at(1) + 3 * d2.eval_at(1) + d1.eval_at(1)]
+    return vals[:n_max + 1]
+
+
+def verify_hilbert_identity(g, gs: GapSet) -> bool:
+    """Check both series identities exactly, truncated where finite:
+
+    (1-z)(Phi + S_trunc) == 1 - z^(N+1)   and   trunc(prod(1-z^d_j) * S_trunc) == Q,
+
+    with S_trunc from the Apéry set and Phi from gs, a gap set found another way.
+    The products here are generic, so Q is checked by a second kernel.
+    """
+    ap = apery_set(g)
+    q = hilbert_numerator(g)
+    n = q.degree
+    s_trunc = SparsePolynomial({k: 1 for k in range(n + 1) if k in ap})
+    lhs = SparsePolynomial.one_minus_z(1) * (phi_polynomial(gs) + s_trunc)
+    if lhs != SparsePolynomial({0: 1, n + 1: -1}):
+        return False
+    prod = SparsePolynomial.one()
+    for dj in g.elements:
+        prod = prod * SparsePolynomial.one_minus_z(dj)
+    full = prod * s_trunc
+    truncated = SparsePolynomial({d: c for d, c in full.items() if d <= n})
+    return truncated == q

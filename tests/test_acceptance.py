@@ -28,9 +28,7 @@ from numsemi import (
     lower_bounds,
     min_element_check,
     numerator_via_diagram,
-    power_sums,
     random_valid_tuples,
-    relation_matrix,
     scan_uniform,
     shift_difference_identity,
     sparsity_check,
@@ -39,7 +37,7 @@ from numsemi import (
     validate_generators,
     verify_standard_form,
 )
-from oracle import gap_set_bitmask
+from oracle import gap_set_bitmask, power_sums
 
 
 def test_criterion_1_golden_examples(acceptance):

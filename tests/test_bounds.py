@@ -51,11 +51,6 @@ def test_lower_bounds_dimension_guard():
         lower_bounds(validate_generators((3, 5)), 7, 4, symmetric=False)
 
 
-def test_lower_bounds_over_sweep(sweep60):
-    for e in sweep60:
-        assert lower_bounds(e.g, e.cf.F, e.cf.G, e.cls.symmetric).all_hold, e.g
-
-
 def test_admissible_goldens():
     assert admissible(10001, 10003, 20003) == (True, None)
     assert admissible(5, 7, 11) == (True, None)

@@ -404,6 +404,21 @@ def test_genera_past_its_budget_exits_2_at_once(capsys):
     assert code == 0 and out.startswith("g_0 = ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--random", "100", "--m", "1"],                 # no minimal 1-tuple exists
+    ["--random", "-5"],                              # a negative count
+    ["--random", "3", "--d-max", str(10 ** 33)],     # past random.sample's range
+    ["--random", "3", "--m", "40", "--d-max", "3000"],
+], ids=["m-1", "negative-count", "huge-d-max", "m-40"])
+def test_sparsity_random_refuses_at_once(capsys, argv):
+    _refused_fast(capsys, "sparsity", *argv)
+
+
+@pytest.mark.parametrize("a, d3_max", [(60, 3600), (120, 14400)])
+def test_scan_refuses_too_many_candidate_matrices_at_once(capsys, a, d3_max):
+    _refused_fast(capsys, "scan-appendix-a", "--a", str(a), "--d3-max", str(d3_max))
+
+
 def test_falsify_refuses_oversized_powers_and_exponents_at_once(capsys):
     _refused_fast(capsys, "falsify", "--nu", "1/1000000", "--triple", "10001", "10003", "20003")
     _refused_fast(capsys, "falsify", "--C", "1e1000000", "--nu", "5/8", "--l", "2")

@@ -12,7 +12,6 @@ from numsemi import (
     frobenius_matrix_only,
     gap_set,
     genus_matrix_only,
-    hilbert_numerator,
     j_invariant,
     johnson_reduce,
     pythagorean,
@@ -93,33 +92,6 @@ def test_j_invariant():
     assert j_invariant(validate_generators((3, 4, 5))) == 1
     assert j_invariant(validate_generators((23, 29, 44))) == 86
     assert j_invariant(validate_generators((1563, 2275, 2503))) == 10646
-
-
-def test_numerator_root_inequalities(sweep60):
-    # L1 + L2 = <a,d>, L1*L2 fixed, L1 != L2, J >= 1, and each L_k dominates
-    # every diagonal product it must (the six exponent inequalities)
-    for e in sweep60:
-        if e.cls.symmetric:
-            continue
-        d1, d2, d3 = e.g.elements
-        a = e.A.entry
-        cf = e.cf
-        assert cf.J >= 1
-        assert cf.L1 != cf.L2
-        assert cf.L1 + cf.L2 == cf.inner
-        assert cf.L1 >= a(1, 1) * d1 + d3 and cf.L1 >= a(3, 3) * d3 + d2
-        assert cf.L1 >= a(2, 2) * d2 + d1
-        assert cf.L2 >= a(1, 1) * d1 + d2 and cf.L2 >= a(3, 3) * d3 + d1
-        assert cf.L2 >= a(2, 2) * d2 + d3
-
-
-def test_symmetric_frobenius_odd(sweep60):
-    for e in sweep60:
-        if e.cls.symmetric:
-            assert e.cf.F % 2 == 1
-            assert 2 * e.cf.G == e.cf.F + 1
-        else:
-            assert 2 * e.cf.G >= e.cf.F + 2
 
 
 def test_pythagorean_goldens():

@@ -26,7 +26,6 @@ from numsemi import (
     pq_of,
     relation_matrix,
     render_diagram,
-    shift_difference_identity,
     sylvester_closed,
     validate_generators,
 )
@@ -315,12 +314,6 @@ def test_lambda_set_structure(sweep30_gaps):
         assert {v3 * d3 for v3 in range(a(3, 3))} <= vals
 
 
-def test_shift_difference_identity(sweep30_gaps):
-    for entry, _ in sweep30_gaps[::4]:
-        if not entry.cls.symmetric:
-            assert shift_difference_identity(entry.g)
-
-
 def test_numerator_via_diagram():
     g = validate_generators((5, 7, 8))
     q = numerator_via_diagram(g)
@@ -373,10 +366,34 @@ def test_render_svg_well_formed():
     assert render_diagram(delta2_grid(3, 5), format="svg") \
         == render_diagram(delta2_grid(3, 5), format="svg")
 
+    # exact bytes: row-major grid cells with the top, bottom and carved fills
+    # (white text on the carved one), Λ cells column by column from the bottom
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+            'width="48" height="48" viewBox="0 0 48 48">\n')
+    font = 'font-size="9" text-anchor="middle" font-family="monospace"'
+    assert render_diagram(delta2_grid(3, 4), format="svg", excluded={2}) == head + (
+        f'<rect x="0" y="0" width="24" height="24" fill="#8c8c8c" stroke="#555555"/>'
+        f'<text x="12" y="15" {font} fill="#000000">5</text>\n'
+        f'<rect x="24" y="0" width="24" height="24" fill="#d9d9d9" stroke="#555555"/>'
+        f'<text x="36" y="15" {font} fill="#000000">1</text>\n'
+        f'<rect x="0" y="24" width="24" height="24" fill="#1a1a1a" stroke="#555555"/>'
+        f'<text x="12" y="39" {font} fill="#ffffff">2</text>\n</svg>\n')
+    assert render_diagram(lambda_set(validate_generators((3, 4, 5))), format="svg") == head + (
+        f'<rect x="0" y="24" width="24" height="24" fill="#d9d9d9" stroke="#555555"/>'
+        f'<text x="12" y="39" {font} fill="#000000">0</text>\n'
+        f'<rect x="0" y="0" width="24" height="24" fill="#8c8c8c" stroke="#555555"/>'
+        f'<text x="12" y="15" {font} fill="#000000">5</text>\n'
+        f'<rect x="24" y="24" width="24" height="24" fill="#d9d9d9" stroke="#555555"/>'
+        f'<text x="36" y="39" {font} fill="#000000">4</text>\n</svg>\n')
+
 
 def test_render_empty_and_bad_format():
     assert render_diagram(DiagramGrid(2, 3, {}, {}, {})) == "(empty diagram)"
     assert render_diagram(LambdaSet({}, ())) == "(empty diagram)"
+    empty_svg = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+                 'width="24" height="24" viewBox="0 0 24 24">\n<!-- empty diagram -->\n</svg>\n')
+    assert render_diagram(DiagramGrid(2, 3, {}, {}, {}), "svg") == empty_svg
+    assert render_diagram(LambdaSet({}, ()), "svg") == empty_svg
     with pytest.raises(InvalidInput):
         render_diagram(delta2_grid(3, 5), format="png")
     with pytest.raises(InvalidInput):

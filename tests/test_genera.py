@@ -1,6 +1,7 @@
 """Higher genera: power sums, closed forms, derivative route."""
 
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 
 from numsemi import (
     GapSet,
-    derivative_genera,
+    SparsePolynomial,
     gap_set,
     genera,
     genera2_closed,
     genus1_closed_3d,
-    power_sums,
     validate_generators,
 )
 from numsemi.errors import InvalidInput, SymmetricInput
-from oracle import gap_set_bitmask
+from oracle import derivative, derivative_genera, gap_set_bitmask, power_sums
 
 
 def test_power_sums():
@@ -52,12 +52,6 @@ def test_genus1_closed_3d_rejects_symmetric():
         genus1_closed_3d(validate_generators((4, 5, 6)))
 
 
-def test_genus1_closed_matches_oracle(sweep30_gaps):
-    for entry, gs in sweep30_gaps:
-        if not entry.cls.symmetric:
-            assert genus1_closed_3d(entry.g) == sum(gs.gaps), entry.g
-
-
 def test_genera_matches_power_sums_over_oracle_gaps(sweep30_gaps):
     # genera sums along the Apéry progressions; the oracle lists every gap
     for entry, gs in sweep30_gaps:
@@ -68,13 +62,21 @@ def test_genera_matches_power_sums_over_oracle_gaps(sweep30_gaps):
 
 
 def test_derivative_route(sweep30_gaps):
+    # the paper's route on the oracle's gap sets against the package's genera
     for entry, gs in sweep30_gaps[::8]:
-        assert derivative_genera(gs) == power_sums(gs, 3)
+        assert derivative_genera(gs) == genera(entry.g, 3), entry.g
     for elems in ((2, 3), (4, 21, 26, 43), (4, 31, 37, 50)):
-        gs = gap_set(validate_generators(elems))
-        assert derivative_genera(gs) == power_sums(gs, 3)
+        g = validate_generators(elems)
+        gs = gap_set_bitmask(g)
+        assert derivative_genera(gs) == genera(g, 3), elems
     with pytest.raises(InvalidInput):
         derivative_genera(gs, 4)
+
+
+def test_oracle_derivative():
+    assert derivative(SparsePolynomial({0: 1, 3: 1})).items() == [(2, 3)]
+    assert derivative(SparsePolynomial({2: -2, 5: 1})).items() == [(1, -4), (4, 5)]
+    assert derivative(SparsePolynomial.one()).is_zero()
 
 
 def test_genera_dispatcher():
@@ -113,6 +115,18 @@ def _tuples(draw):
 def test_genera_recurrence_matches_bitmask_power_sums(elems, n):
     g = validate_generators(elems)
     assert genera(g, n) == power_sums(gap_set_bitmask(g), n)
+
+
+def test_genera_budget_counts_the_recurrences():
+    # at small d_1 the O(n^2) big-integer recurrences dominate; the largest n
+    # the budget admits still answers well inside half a second
+    for elems, n in (((2, 3), 722), ((3, 5), 607), ((5, 7), 519)):
+        g = validate_generators(elems)
+        with pytest.raises(InvalidInput):
+            genera(g, n + 1)
+        t0 = time.monotonic()
+        assert len(genera(g, n)) == n + 1
+        assert time.monotonic() - t0 < 0.5, elems
 
 
 def test_genera_budget():

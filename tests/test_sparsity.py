@@ -78,6 +78,18 @@ def test_random_valid_tuples_needs_m_integers_to_draw_from():
         random_valid_tuples(3, -1, 100, seed=0)
 
 
+def test_random_valid_tuples_refusals():
+    assert random_valid_tuples(0, 4, 100, seed=0) == []
+    for count, m, d_max in ((-1, 4, 100), (3, 1, 100), (3, 0, 1),
+                            (3, 4, 10 ** 33), (1, 37, 2000)):
+        with pytest.raises(InvalidInput):
+            random_valid_tuples(count, m, d_max, seed=0)
+    # within the budget, but [30, 1100] holds too few minimal 30-tuples
+    # for a draw to find one
+    with pytest.raises(InvalidInput, match="in a row"):
+        random_valid_tuples(1, 30, 1100, seed=0)
+
+
 def test_bounds_hold_on_random_sample():
     for g in random_valid_tuples(60, 4, 150, seed=7):
         rep = sparsity_check(g)

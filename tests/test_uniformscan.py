@@ -89,6 +89,15 @@ def test_scan_bounds_prune_by_d3_max():
     assert time.monotonic() - t0 < 0.5
 
 
+def test_scan_refuses_past_the_candidate_limit():
+    # a = 60 forms 59^3 candidates unpruned; the refusal comes before any
+    t0 = time.monotonic()
+    for a, d3_max in ((60, 3600), (1953, 10 ** 10 + 4), (658148, 10 ** 60)):
+        with pytest.raises(InvalidInput):
+            scan_uniform(a, d3_max)
+    assert time.monotonic() - t0 < 0.1
+
+
 def test_scan_edge_cases():
     assert scan_uniform(3, 4) == []
     with pytest.raises(InvalidInput):
