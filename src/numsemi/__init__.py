@@ -38,6 +38,7 @@ from .core import (
     GapSet,
     SylvesterResult,
     apery_set,
+    frobenius_genus,
     gap_set,
     hilbert_numerator,
     is_representable,

@@ -24,6 +24,7 @@ from .bounds import (
 from .closedform import frobenius3
 from .core import (
     apery_set,
+    frobenius_genus,
     gap_set,
     hilbert_numerator,
     validate_generators,
@@ -103,7 +104,7 @@ def _cmd_frob(args):
               else "non-symmetric", "inner": cf.inner, "L1": cf.L1, "L2": cf.L2}
     if args.verify:
         ap = apery_set(g)
-        if (ap.frobenius, ap.genus) != (cf.F, cf.G) or hilbert_numerator(g) != cf.Q:
+        if (ap.frobenius, ap.genus) != (cf.F, cf.G) or ap.numerator(g) != cf.Q:
             raise InternalMismatch(f"closed form disagrees with the Apéry set for {g}")
         result["verified"] = True
     pairs = [(k, result[k]) for k in ("F", "G", "J", "kind", "inner", "L1", "L2")]
@@ -124,11 +125,11 @@ def _cmd_relation(args):
 
 def _cmd_hilbert(args):
     g = validate_generators(args.d)
-    ap = apery_set(g)
     Q = hilbert_numerator(g)
+    F, G = frobenius_genus(g)
     result = {"numerator": _poly_dict(Q), "degree": Q.degree,
               "nonzero_count": Q.nonzero_count(), "num_monomials": Q.num_monomials(),
-              "F": ap.frobenius, "genus": ap.genus}
+              "F": F, "genus": G}
     human = Q.format() + "\n" + _kv_lines(
         [("degree", Q.degree), ("nonzero_count", Q.nonzero_count())])
     return {"d": list(g.elements)}, result, human

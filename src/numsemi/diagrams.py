@@ -21,6 +21,7 @@ from .errors import (
     NoCoprimeBasePair,
     NotAGap,
     NotCoprime,
+    OutputTooLarge,
     SymmetricInput,
     TooManyGaps,
 )
@@ -55,7 +56,9 @@ class DiagramGrid:
 def delta2_grid(d1: int, d2: int) -> DiagramGrid:
     """All gaps of <d1, d2> arranged on the (p, q) grid.
 
-    Raises TooManyGaps when the (d1 - 1)(d2 - 1)/2 cells exceed MAX_GAPS.
+    Raises, before anything is built, TooManyGaps when the (d1 - 1)(d2 - 1)/2
+    cells exceed MAX_GAPS and OutputTooLarge when they exceed
+    MAX_PICTURE_CELLS.
     """
     if not (2 <= d1 < d2):
         raise InvalidInput(f"need 2 <= d1 < d2, got ({d1}, {d2})")
@@ -64,6 +67,7 @@ def delta2_grid(d1: int, d2: int) -> DiagramGrid:
     genus = (d1 - 1) * (d2 - 1) // 2
     if genus > MAX_GAPS:
         raise TooManyGaps(f"<{d1}, {d2}> has {genus} gaps, more than {MAX_GAPS}")
+    _check_cells(genus)
     cells = {}
     bottom = {}
     top = {}
@@ -185,6 +189,8 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
     Rectangles in (v2, v3): [0, a22) x [0, a13) and [0, a12) x [a13, a33).
     With verify=True the cell values must equal the Apéry set of d1, which is
     equivalent to sum z^lambda = sum_{k<d1} z^k - (1 - z^{d1}) * Phi.
+    Raises OutputTooLarge, before any cell is listed, when the rectangles
+    hold more than MAX_PICTURE_CELLS cells.
     """
     if g.m != 3:
         raise InvalidInput(f"need a triple, got m={g.m}")
@@ -194,6 +200,7 @@ def lambda_set(g: Generators, A: Optional[RelationMatrix] = None,
         raise SymmetricInput(f"{g} generates a symmetric semigroup")
     d1, d2, d3 = g.elements
     a = A.entry
+    _check_cells(a(2, 2) * a(1, 3) + a(1, 2) * (a(3, 3) - a(1, 3)))
     entries = {}
     for v2 in range(a(2, 2)):
         for v3 in range(a(1, 3)):
@@ -244,6 +251,17 @@ def numerator_via_diagram(g: Generators) -> SparsePolynomial:
 # from 0 at the top left.  One ASCII writer and one SVG writer draw every
 # picture.
 
+# Largest picture drawn, counted as the writers emit it: the SVG writer draws
+# each cell, about 190 bytes, and the ASCII writer fills every slot of the
+# rows-by-columns layout, empty ones included.  delta2_grid and lambda_set
+# refuse to list more cells, and render_diagram refuses an ASCII layout with
+# more slots.  20,000 is a picture already 140 cells on a side, more than a
+# screen or a page shows; its SVG stays under 4 MB, and a delta2 grid of
+# that size is built and drawn in under 0.1 s.  Every diagram the tests and
+# the README draw, apart from those they expect refused, has at most 325
+# cells or slots.
+MAX_PICTURE_CELLS = 20_000
+
 _FILL_BOTTOM = "#d9d9d9"
 _FILL_TOP = "#8c8c8c"
 _FILL_EXCLUDED = "#1a1a1a"
@@ -260,10 +278,19 @@ class _Picture:
     cells: list             # (row, column, value, mark, fill)
 
 
+def _check_cells(count: int) -> None:
+    """OutputTooLarge for a picture of more than MAX_PICTURE_CELLS cells."""
+    if count > MAX_PICTURE_CELLS:
+        raise OutputTooLarge(f"a diagram of {count} cells is more than the "
+                             f"{MAX_PICTURE_CELLS} drawn")
+
+
 def render_diagram(obj, format: str = "ascii", excluded=None) -> str:
     """ASCII or SVG picture of a DiagramGrid or LambdaSet.
 
     excluded: optional set of sigma values to black out (carved gaps).
+    Raises OutputTooLarge for an ASCII layout of more than
+    MAX_PICTURE_CELLS slots.
     """
     if format not in ("ascii", "svg"):
         raise InvalidInput(f"unknown format {format!r}")
@@ -273,7 +300,10 @@ def render_diagram(obj, format: str = "ascii", excluded=None) -> str:
         picture = _lambda_picture(obj)
     else:
         raise InvalidInput(f"cannot render {type(obj).__name__}")
-    return _ascii(picture) if format == "ascii" else _svg(picture)
+    if format == "svg":
+        return _svg(picture)
+    _check_cells(len(picture.rows) * len(picture.columns))
+    return _ascii(picture)
 
 
 def _grid_picture(grid: DiagramGrid, excluded) -> _Picture:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from numsemi import (
     SparsePolynomial,
+    apery_set,
     classify,
     conjecture_bound_check,
     counterexample_family,
@@ -185,6 +186,9 @@ def test_criterion_4_oracle_sweep(acceptance, sweep60):
         assert gap_set(e.g) == gs, e.g
         classify(e.g, e.A, cross_check=True)  # Apéry symmetry == matrix verdict
         assert (gs.frobenius, gs.genus) == (e.cf.F, e.cf.G), e.g
+        # hilbert_numerator reads the matrix's closed form; the round-robin
+        # set's Q is the one comparison of it that does not use the matrix
+        assert apery_set(e.g).numerator(e.g) == e.cf.Q, e.g
         assert hilbert_numerator(e.g) == e.cf.Q, e.g
         assert delta3_via_diagram(e.g).gaps == gs.gaps, e.g
         if not e.cls.symmetric:

@@ -114,7 +114,7 @@ def test_hilbert_output(capsys):
 
 
 def test_hilbert_large_triple_reads_f_and_genus_off_apery(capsys):
-    # 2.5*10^9 gaps: F and the genus come from the d1 Apéry elements
+    # 2.5*10^9 gaps: F and the genus are the relation matrix's closed forms
     code, out, _ = run(capsys, "hilbert", "100001", "100003", "200003", "--json")
     assert code == 0
     res = json.loads(out)["result"]
@@ -139,6 +139,61 @@ def test_oversized_diagrams_exit_2(capsys):
         assert time.monotonic() - t0 < 1
         assert code == 2 and out == ""
         assert err.startswith("error: TooManyGaps:")
+
+
+def test_diagrams_past_the_picture_limit_exit_2_at_once(capsys):
+    # 195,000 cells (a 37 MB SVG before the limit) and 1.95 million cells
+    # (within MAX_GAPS) are refused before the grid is built, as is a lambda
+    # diagram of 100,001 cells before they are listed
+    for argv in (["--kind", "delta2", "40", "10001", "--format", "svg"],
+                 ["--kind", "delta2", "40", "100001"],
+                 ["--kind", "lambda", "100001", "100003", "200003"]):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "diagram", *argv)
+        assert time.monotonic() - t0 < 0.1, argv
+        assert code == 2 and out == ""
+        assert err.startswith("error: OutputTooLarge:"), err
+
+
+def test_sparse_lambda_diagram_is_bounded_by_what_each_writer_draws(capsys):
+    # a13 = a12 = 1 and a22 = a33 = 151: 301 cells in a 151 x 151 layout.
+    # The SVG draws the 301 cells; the ASCII text would fill all 22,801 slots
+    d = ["diagram", "--kind", "lambda", "301", "451", "452"]
+    code, out, _ = run(capsys, *d, "--format", "svg")
+    assert code == 0 and out.count("<rect") == 301
+    code, out, err = run(capsys, *d)
+    assert code == 2 and out == ""
+    assert err.startswith("error: OutputTooLarge: a diagram of 22801 cells"), err
+
+
+def test_hilbert_of_a_large_pair_is_closed_form(capsys):
+    # Q = 1 - z^(d1 d2): no residue mod d1 is visited
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "hilbert", "1999999", "2000001", "--json")
+    assert time.monotonic() - t0 < 0.1
+    assert code == 0 and err == ""
+    res = json.loads(out)["result"]
+    assert res["numerator"]["text"] == f"1 - z^{1999999 * 2000001}"
+    assert (res["F"], res["genus"]) == (str(1999999 * 2000001 - 4000000),
+                                        str(1999998 * 2000000 // 2))
+
+
+def test_family_at_fifty_digits_hilbert_and_genera(capsys):
+    # the Apéry set would hold 2*10^50 + 1 elements; Q has six terms
+    l = 10 ** 50
+    d = [str(x) for x in (2 * l + 1, 2 * l + 3, 4 * l + 3)]
+    g1 = genus1_closed_3d(validate_generators(map(int, d)))
+    for argv in (["hilbert", *d], ["genera", *d], ["genera", *d, "--n", "10"]):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv, "--json")
+        assert time.monotonic() - t0 < 0.1, argv
+        assert code == 0 and err == "", argv
+        res = json.loads(out)["result"]
+        if argv[0] == "hilbert":
+            assert res["F"] == str(2 * l * l + 3 * l - 1)
+            assert res["nonzero_count"] == "6"
+        else:
+            assert res["values"][1] == str(g1), argv
 
 
 def test_frob_verify_builds_one_apery_set(capsys, monkeypatch):
@@ -192,8 +247,9 @@ def test_m4_with_huge_d1_exits_2(capsys):
         assert err.startswith("error: TooManyGaps:")
 
 
-def test_hilbert_builds_the_apery_set_once(capsys, monkeypatch):
-    # F, the genus and Q read one set: one pass adds d2 and d3 once each
+def test_hilbert_takes_no_round_robin_step(capsys, monkeypatch):
+    # F, the genus and Q of a triple are the relation matrix's closed forms:
+    # no round-robin pass adds a generator
     added = []
     real = numsemi.core._round_robin
 
@@ -203,11 +259,11 @@ def test_hilbert_builds_the_apery_set_once(capsys, monkeypatch):
     monkeypatch.setattr(numsemi.core, "_round_robin", counted)
     code, _, _ = run(capsys, "hilbert", "100001", "100003", "200003")
     assert code == 0
-    assert added == [100003, 200003]
+    assert added == []
 
 
 def test_genera_large_triple_reads_off_apery(capsys):
-    # 25,010,000 gaps: too many to list, but the power sums need only Ap
+    # 25,010,000 gaps: too many to list, but the power sums need only Q
     code, out, err = run(capsys, "genera", "10001", "10003", "20003", "--n", "1")
     assert code == 0 and err == ""
     g1 = genus1_closed_3d(validate_generators((10001, 10003, 20003)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import numsemi.core
 from numsemi import (
     MAX_GAPS,
     Generators,
@@ -15,6 +16,7 @@ from numsemi import (
     apery_set,
     classify,
     frobenius_any,
+    frobenius_genus,
     gap_set,
     genera,
     hilbert_numerator,
@@ -179,6 +181,34 @@ def test_hilbert_numerator_four_generators():
     assert q.nonzero_count() == 18
     assert q.degree == 39 + 94  # F + sum(d)
     assert q.coeff(90) == 2
+
+
+def test_triples_take_no_step_of_size_d1(monkeypatch):
+    # Q, F and the genus of a triple are the relation matrix's closed forms,
+    # and past d_1 of about 30 its genera are read off Q: nothing builds
+    # Ap(S, d_1) or takes a round-robin step
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triple built its Apéry set")
+    monkeypatch.setattr(numsemi.core, "_apery_w", refuse)
+    monkeypatch.setattr(numsemi.core, "_round_robin", refuse)
+    l = 10 ** 50
+    # non-symmetric; symmetric with the pair (1, 3), (1, 2) and (2, 3)
+    for elems in ((23, 29, 44), (4, 5, 6), (4, 6, 7), (5, 6, 9), (9, 10, 15)):
+        g = validate_generators(elems)
+        q = hilbert_numerator(g)
+        assert q.degree == frobenius_genus(g)[0] + g.sum()
+        assert g._apery is None
+    for elems in ((563, 775, 903), (100, 150, 151), (101, 150, 225),
+                  (10001, 10003, 20003), (2 * l + 1, 2 * l + 3, 4 * l + 3)):
+        g = validate_generators(elems)
+        q = hilbert_numerator(g)
+        F, G = frobenius_genus(g)
+        assert q.degree == F + g.sum() and genera(g, 3)[0] == G
+        assert g._apery is None
+    # two generators: Sylvester's closed forms
+    g = validate_generators((1999999, 2000001))
+    assert hilbert_numerator(g) == SparsePolynomial.one_minus_z(1999999 * 2000001)
+    assert frobenius_genus(g) == sylvester_closed(1999999, 2000001)[:2]
 
 
 def test_verify_hilbert_identity(sweep30_gaps):

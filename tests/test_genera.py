@@ -129,6 +129,21 @@ def test_genera_budget_counts_the_recurrences():
         assert time.monotonic() - t0 < 0.5, elems
 
 
+def test_genera_of_a_triple_takes_the_cheaper_route():
+    # off Q, in O(n^2) products with no step of size d_1, the largest
+    # admitted n passes the Apéry route's (113, 393 and 270); for a tiny d_1
+    # and a huge d_3 the d_1 steps are cheaper and the Apéry route answers.
+    # Each still answers well inside half a second
+    for elems, n in (((10001, 10003, 20003), 267), ((23, 29, 44), 430),
+                     ((563, 775, 903), 320), ((3, 10 ** 40 + 1, 10 ** 40 + 3), 252)):
+        g = validate_generators(elems)
+        with pytest.raises(InvalidInput):
+            genera(g, n + 1)
+        t0 = time.monotonic()
+        assert len(genera(g, n)) == n + 1
+        assert time.monotonic() - t0 < 0.5, elems
+
+
 def test_genera_budget():
     # refused before any power: n = 3000 for (3, 5), n = 1000 for the paper
     # triple, and (3, 2^64 + 1) at n = 1000, which the d_1 steps alone admit

@@ -14,8 +14,11 @@ import numsemi.relation
 from numsemi import (
     Generators,
     RelationMatrix,
+    apery_set,
     classify,
     diagonal_coefficient,
+    frobenius_genus,
+    genera,
     hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
@@ -31,7 +34,14 @@ from numsemi.errors import (
     SymmetricInput,
     ValidationError,
 )
-from oracle import diagonal_coefficient_walk, reachable_mask, relation_matrix_walk
+from numsemi.genera import _genera_from_numerator
+from oracle import (
+    diagonal_coefficient_walk,
+    gap_set_bitmask,
+    power_sums,
+    reachable_mask,
+    relation_matrix_walk,
+)
 
 
 def test_matrix_goldens_three_generators():
@@ -102,19 +112,20 @@ def test_diagonal_coefficients_match_the_walk(sweep60):
 
 
 @st.composite
-def triples_with_shared_factors(draw):
-    """Valid triples up to 10^5 as (k*h*x, k*y, h*z).
+def triples_with_shared_factors(draw, limit=10 ** 5):
+    """Valid triples up to limit as (k*h*x, k*y, h*z).
 
     In about half the draws each of k = gcd(a, b) and h = gcd(a/k, d_j) is
     forced above 1 for the row of d_j = h*z, so both Johnson's reduction and
     the lattice index n = d_j/h < d_j are exercised.
     """
-    k = draw(st.integers(2, 30)) if draw(st.booleans()) else 1
-    h = draw(st.integers(2, 30)) if draw(st.booleans()) else 1
+    top = min(30, math.isqrt(limit))
+    k = draw(st.integers(2, top)) if draw(st.booleans()) else 1
+    h = draw(st.integers(2, top)) if draw(st.booleans()) else 1
     assume(math.gcd(k, h) == 1)
-    a = k * h * draw(st.integers(1, 10 ** 5 // (k * h)))
-    b = k * draw(st.integers(1, 10 ** 5 // k))
-    c = h * draw(st.integers(1, 10 ** 5 // h))
+    a = k * h * draw(st.integers(1, limit // (k * h)))
+    b = k * draw(st.integers(1, limit // k))
+    c = h * draw(st.integers(1, limit // h))
     try:
         return validate_generators((a, b, c))
     except ValidationError:
@@ -127,6 +138,34 @@ def triples_with_shared_factors(draw):
 def test_diagonal_coefficient_matches_the_walk_on_large_triples(g):
     for j in (1, 2, 3):
         assert diagonal_coefficient(g, j) == diagonal_coefficient_walk(g, j), j
+
+
+@settings(deadline=None, max_examples=300)
+@given(triples_with_shared_factors())
+@example(validate_generators((6, 10, 15)))
+def test_closed_forms_match_the_round_robin_set_on_large_triples(g):
+    # Q, F and the genus of a triple read the relation matrix alone; the
+    # round-robin Apéry set is the independent route to the same values
+    ap = apery_set(g)
+    assert hilbert_numerator(g) == ap.numerator(g)
+    assert frobenius_genus(g) == (ap.frobenius, ap.genus)
+
+
+@settings(deadline=None, max_examples=150)
+@given(triples_with_shared_factors(limit=300))
+@example(validate_generators((9, 10, 15)))
+@example(validate_generators((100, 150, 151)))
+def test_triple_readers_match_the_bitmask_oracle(g):
+    # F, the genus, the lambda cells' residue runs and both genera routes
+    # agree with the listed gaps
+    oracle = gap_set_bitmask(g)
+    assert frobenius_genus(g) == (oracle.frobenius, oracle.genus)
+    if relation_matrix(g).collision(g) is None:
+        d1 = g.elements[0]
+        values = lambda_set(g, verify=False).values
+        assert sorted(x for w in values for x in range(w % d1, w, d1)) == list(oracle.gaps)
+    assert genera(g, 6) == power_sums(oracle, 6)
+    assert _genera_from_numerator(g, hilbert_numerator(g), 6) == power_sums(oracle, 6)
 
 
 def test_m4_matrices_match_the_walk_exhaustively():
