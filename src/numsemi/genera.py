@@ -1,13 +1,15 @@
 """Higher genera g_n = sum of n-th powers of the gaps.
 
 Closed forms exist for two coprime generators (g_1, g_2, g_3) and for the
-first genus of a non-symmetric triple.  genera reads every g_n off the Apéry
-set of d_1 or, for a triple, off its Hilbert numerator Q, and checks them
-against those closed forms; no gap is listed.
+first genus of a non-symmetric triple.  genera reads every g_n off one
+identity between the gaps and a numerator of the Hilbert series, given the
+Apéry set of d_1 or, for m <= 3, the closed-form Q, and checks them against
+those closed forms; no gap is listed.
 """
 
 from __future__ import annotations
 
+import math
 from operator import add, mul
 
 from .core import Generators, apery_set, hilbert_numerator, sylvester_closed
@@ -47,53 +49,54 @@ def genus1_closed_3d(g: Generators) -> int:
     return _exact_div(-1 + d[0] * d[1] * d[2] + quad + mixed - diag_prod * linear, 12, "g_1")
 
 
-# genera estimates the work of each route it may take as
-#     (n + 1) * (s * (4096 + (n + 1) * b) + (n + 1)^3 * b * L / c),
-# with b the bit length of max Ap = F + d_1, takes the cheaper route, and
-# answers only when its estimate is at most GENERA_WORK.  Off Ap(S, d_1),
-# s = d_1, L is the bit length of d_1 and c = 128.  The first term counts
-# the d_1*(n + 1) power-sum steps, each a fixed interpreter cost worth 4096
-# units plus a product of up to (n + 1)*b bits.  The second counts the
-# O(n^2) products of the two recurrences, each of an O(n*L)-bit binomial
-# term by an O(n*b)-bit power sum, at 1/128 unit per pair of bits.  Off Q
-# (triples only), s counts the at most 28 monomials whose moments are taken,
-# L is the bit length of 1 + d_1 + d_2 + d_3, which bounds the shifted
-# exponents, and c = 256, as half of the solve's products vanish.  So a
-# triple's genera take a step of size d_1 only when d_1 is below about 30
-# or d_3 is far above d_1^2, where those steps cost less than the solve.
-# With 2^33 units the largest admitted n takes at most about 0.25 s
-# (CPython 3.11 on a Xeon server core) for pairs such as (2, 3), (3, 5) and
-# (5, 7) and for d_1 up to 10^5; n = 3 passes for d_1 < 460,000 while
-# max Ap < 2^134.  For triples it is 267 for (10001, 10003, 20003), 430 for
-# (23, 29, 44), 320 for (563, 775, 903) and 77 for the family member
-# (2l + 1, 2l + 3, 4l + 3) at l = 10^50, all off Q, and 252 for
-# (3, 10^40 + 1, 10^40 + 3) off Ap.
+# genera estimates the work of solving off each numerator it may read as
+#     (n + 1) * (s * (4096 + (n + 1) * b) + (n + 1)^3 * b * (L + 1) / 288),
+# with b the bit length of max Ap = F + d_1 and L that of h = 1 + sum(J)
+# (see _moment_solve), solves off the cheaper one, and answers only when its
+# estimate is at most GENERA_WORK.  s counts the entries of the power lists:
+# d_1 for the Apéry set (J = (d_1,)), and 2^m plus Q's terms for Q
+# (J = all generators, m <= 3).  The first term counts the s*(n + 1) power
+# steps, each a fixed interpreter cost worth 4096 units plus a product of up
+# to (n + 1)*b bits.  The second counts the O(n^2) products of the solve,
+# each of an O(n*b)-bit gamma or U by an O(n*L)-bit moment of D or an
+# O(n)-bit binomial of the sum over U, at 1/288 unit per pair of bits.  So
+# for m <= 3 the Apéry set is built only when d_1 is below Q's 6 to 14 list
+# entries, or when the products dominate and its smaller h wins, as for
+# (23, 29, 44) from n = 92.  With 2^33 units the largest admitted n answers
+# in at most about 0.25 s (CPython 3.11 on a Xeon server core): n = 800 for
+# (2, 3), 625 for (3, 5) and 591 for (5, 7), 460 for (23, 29, 44) and 259
+# for (3, 10^40 + 1, 10^40 + 3), all off Ap; 272 for (10001, 10003, 20003),
+# 323 for (563, 775, 903), 80 for the family member (2l + 1, 2l + 3, 4l + 3)
+# at l = 10^50 and 223 for (1999999, 2000001), all off Q.  n = 3 passes
+# off Ap for m >= 4 while d_1 < 460,000 and max Ap < 2^134.
 GENERA_WORK = 2 ** 33
 
 
 def genera(g: Generators, n_max: int = 3) -> list:
     """Power sums g_0..g_n over the gaps, with no gap listed, and with
     closed-form cross-checks where they exist (two coprime generators; first
-    genus of a non-symmetric triple).  They are read off the Apéry set of
-    d_1 (_genera_from_apery) or, for a triple, off its numerator Q
-    (_genera_from_numerator), with no step of size d_1, whichever the work
+    genus of a non-symmetric triple).  They are solved off the Apéry set of
+    d_1 or, for m <= 3, off Q, with no step of size d_1, whichever the work
     estimate above finds cheaper.  Raises InvalidInput for n < 0 or past the
     budget, before any power is taken.
     """
     if n_max < 0:
         raise InvalidInput(f"need n >= 0, got {n_max}")
     d1 = g.elements[0]
-    q = hilbert_numerator(g) if g.m == 3 else None
-    F = apery_set(g).frobenius if q is None else q.degree - g.sum()
+    q = hilbert_numerator(g).items() if g.m <= 3 else None
+    F = apery_set(g).frobenius if q is None else q[-1][0] - g.sum()
     b = (F + d1).bit_length()
-    work = _work(n_max, d1, b, d1.bit_length(), 128)
+    work = _work(n_max, d1, b, (1 + d1).bit_length())
     via_q = False
     if q is not None:
-        q_work = _work(n_max, 16 + 2 * q.nonzero_count(), b, (1 + g.sum()).bit_length(), 256)
-        via_q, work = q_work < work, min(q_work, work)
+        q_work = _work(n_max, 2 ** g.m + len(q), b, (1 + g.sum()).bit_length())
+        via_q, work = q_work <= work, min(q_work, work)
     if work > GENERA_WORK:
         raise InvalidInput(f"g_0..g_{n_max} of {g} exceed the genera budget")
-    vals = _genera_from_numerator(g, q, n_max) if via_q else _genera_from_apery(g, n_max)
+    if via_q:
+        vals = _moment_solve(g.elements, *zip(*q), n_max)
+    else:
+        vals = _moment_solve((d1,), apery_set(g).w, None, n_max)
     closed = ()
     if g.m == 2:
         closed = genera2_closed(*g.elements)
@@ -105,91 +108,62 @@ def genera(g: Generators, n_max: int = 3) -> list:
     return vals
 
 
-def _work(n_max: int, s: int, b: int, L: int, c: int) -> int:
+def _work(n_max: int, s: int, b: int, L: int) -> int:
     k = n_max + 1
-    return k * (s * (4096 + k * b) + k ** 3 * b * L // c)
+    return k * (s * (4096 + k * b) + k ** 3 * b * (L + 1) // 288)
 
 
-def _genera_from_apery(g: Generators, n_max: int) -> list:
-    """g_0..g_n off the Apéry set of d_1 in O(n*d_1) steps.
+def _moment_solve(J: tuple, exps, coeffs, n_max: int) -> list:
+    """g_0..g_n off H = N/D, with D = prod_{c in J} (1 - z^c) and N the sum
+    of coeffs[i] * z^exps[i] (every coefficient 1 when coeffs is None), in
+    len(exps)*(n + |J|) power steps and O(n^2) big-integer products.
 
-    Residue r holds the gaps x = r, r + d, ..., w[r] - d (d = d_1), over which
-    (x + d)^(n+1) - x^(n+1) telescopes to w[r]^(n+1) - r^(n+1).  Expanding
-    binomially and summing over r gives
-    D_(n+1) = sum_r (w[r]^(n+1) - r^(n+1)) = sum_{i<=n} C(n+1, i) d^(n+1-i) g_i,
-    so g_n is one exact division by (n+1)*d.
+    With Gamma the sum of z^x over the gaps, 1/(1 - z) = Gamma + N/D, so
+    Gamma*(1 - z)*D = D - (1 - z)*N.  Multiply both sides by z^(-h/2),
+    h = 1 + sum(J), and put z = e^(2t): a sum of c*z^s becomes one of
+    c*e^((2s - h)t), whose e-th Taylor coefficient times e! is its moment
+    sum c*(2s - h)^e; Gamma's is gamma_e = 2^e g_e.  (1 - z)D becomes the
+    product of the k = |J| + 1 odd functions e^(-ct) - e^(ct), c in {1} + J,
+    so its moments tau_e vanish for e < k and for odd e - k.  As
+    z^(h-1) D(1/z) = (-1)^|J| D, the terms of -zD mirror D's, so each other
+    tau_e is twice D's moment mu_e.  A term c*z^s of N sits at
+    u = 2s + 1 - h, and -(1 - z)*c*z^s has the moments
+    c*((u + 1)^e - (u - 1)^e) = 2c * sum_{j odd} C(e, j) u^(e-j); with U_i
+    the sums of c*u^i over N the right side's moments are
+        pi_e = mu_e + 2 * sum_{j odd} C(e, j) U_(e-j).
+    At t^(n+k) this leaves
+        pi_(n+k) = sum_{i <= n, i = n mod 2} C(n+k, i) gamma_i tau_(n+k-i),
+    so gamma_n is one exact division by C(n+k, k) tau_k.
     """
-    d = g.elements[0]
-    w = apery_set(g).w
-    W = [0] * (n_max + 2)           # W_e = sum_r w[r]^e
-    for lo in range(0, d, 4096):    # slices keep the power lists short for large d_1
-        ws = pw = w[lo:lo + 4096]
-        for e in range(1, n_max + 2):
-            if e > 1:
-                pw = [p * x for p, x in zip(pw, ws)]
-            W[e] += sum(pw)
-    # R_e = sum_{r<d} r^e telescopes the same way: d^(e+1) = sum_{i<=e} C(e+1, i) R_i
-    R, row = [d], [1, 1]            # step e makes row e + 1 of Pascal's triangle
-    for e in range(1, n_max + 2):
-        row = [1, *map(add, row, row[1:]), 1]
-        R.append(_exact_div(d ** (e + 1) - sum(map(mul, row, R)), e + 1, f"R_{e}"))
-    vals = []
+    k, h = len(J) + 1, 1 + sum(J)
+    top = n_max + k
+    vs, cs = [-h], [1]              # D's terms c*z^s as v = 2s - h and c
+    for c in J:
+        vs += [v + 2 * c for v in vs]
+        cs += [-x for x in cs]
+    mu = _moments(vs, [c * v ** k for v, c in zip(vs, cs)], n_max + 1)  # mu[n] = mu_(k+n)
+    U, c0 = [0] * top, 1 - h        # U_i, in slices that keep the power lists short
+    for lo in range(0, len(exps), 4096):
+        U = list(map(add, U, _moments([2 * s + c0 for s in exps[lo:lo + 4096]],
+                                      coeffs and coeffs[lo:lo + 4096], top)))
+    vals, gamma = [], []
+    row = [math.comb(k, j) for j in range(k + 1)]   # row n + k of Pascal's triangle
     for n in range(n_max + 1):
-        t, rest = (n + 1) * d, W[n + 1] - R[n + 1]
-        for k in range(2, n + 2):
-            t = t * (n + 2 - k) * d // k        # C(n+1, k) * d^k
-            rest -= t * vals[n + 1 - k]
-        vals.append(_exact_div(rest, (n + 1) * d, f"g_{n}"))
+        e, p = n + k, n % 2
+        pi = mu[n] + 2 * sum(map(mul, row[1::2], U[e - 1::-2]))
+        rest = pi - 2 * sum(map(mul, map(mul, row[p:n:2], gamma[p::2]), mu[n - p:0:-2]))
+        vals.append(_exact_div(rest, 2 * row[k] * mu[0] << n, f"g_{n}"))
+        gamma.append(vals[n] << n)
+        row = [1, *map(add, row, row[1:]), 1]
     return vals
 
 
-def _genera_from_numerator(g: Generators, q, n_max: int) -> list:
-    """g_0..g_n of a triple off its numerator q alone, in O(n^2) big-integer
-    products.
-
-    With D = (1 - z^{d_1})(1 - z^{d_2})(1 - z^{d_3}) and Gamma the sum of z^x
-    over the gaps, 1/(1 - z) = Gamma + Q/D, so Gamma*T = P with T = (1 - z)D
-    and P = D - (1 - z)Q, sums of at most 16 and 20 monomials.  Multiply both
-    sides by z^(-h/2), h = 1 + d_1 + d_2 + d_3, and put z = e^(2t): a sum
-    of c*z^s becomes one of c*e^((2s - h)t), whose e-th Taylor coefficient
-    times e! is sum c*(2s - h)^e; Gamma's is gamma_e = 2^e g_e.  T becomes
-    the product of the four odd functions e^(-ct) - e^(ct), c in
-    {1, d_1, d_2, d_3}, so its coefficients tau_e vanish for odd e and for
-    e < 4, and tau_4 = 4! * 16 * d_1 d_2 d_3.  As D = -z^(h-1) D(1/z), the
-    term of -zD at s + 1 has the coefficient of D's term at h - 1 - s and
-    the opposite shifted exponent, so tau_2k is twice D's moment of the
-    squares (2s - h)^2.  At t^(n+4) this leaves, with pi_e
-    the coefficients of P,
-        pi_(n+4) = sum_{i <= n, i = n mod 2} C(n+4, i) gamma_i tau_(n+4-i),
-    so gamma_n is one exact division by C(n+4, 4) tau_4.
-    """
-    d = g.elements
-    h = 1 + sum(d)
-    xs, cs = [-h], [1]              # D's monomials c*z^s as x = 2s - h and c
-    for dj in d:
-        xs += [x + 2 * dj for x in xs]
-        cs += [-c for c in cs]
-    ps, pc = list(xs), list(cs)     # P's, uncancelled
-    for s, c in q.items():
-        ps += [2 * s - h, 2 * s + 2 - h]
-        pc += [-c, c]
-    # tau_(4+2k) and pi_(4+k): the lower ones vanish or go unused
-    even = _moments([x * x for x in xs], [2 * c * x ** 4 for x, c in zip(xs, cs)],
-                    n_max // 2 + 1)
-    pi = _moments(ps, [c * x ** 4 for x, c in zip(ps, pc)], n_max + 1)
-    gamma, row = [], [1, 4, 6, 4, 1]   # row n + 4 of Pascal's triangle
-    for n in range(n_max + 1):
-        p = n % 2
-        rest = pi[n] - sum(map(mul, map(mul, row[p:n:2], gamma[p::2]), even[n // 2:0:-1]))
-        gamma.append(_exact_div(rest, row[4] * even[0], f"2^{n} g_{n}"))
-        row = [1, *map(add, row, row[1:]), 1]
-    return [_exact_div(x, 1 << n, f"g_{n}") for n, x in enumerate(gamma)]
-
-
-def _moments(xs: list, cs: list, count: int) -> list:
-    """[sum_i cs[i] * xs[i]^e for e < count]."""
-    out = []
-    for _ in range(count):
-        out.append(sum(cs))
-        cs = list(map(mul, cs, xs))
+def _moments(xs: list, cs, count: int) -> list:
+    """[sum_i cs[i] * xs[i]^e for e < count], with every cs[i] = 1 when cs
+    is None."""
+    out, pw = ([len(xs)], xs) if cs is None else ([], cs)
+    while len(out) < count:
+        out.append(sum(pw))
+        if len(out) < count:
+            pw = list(map(mul, pw, xs))
     return out

@@ -24,8 +24,8 @@ d3 <= d3_max and keeps those whose relation matrix has that diagonal.
 phi_polynomial: Phi = sum of z^s over a gap set, built term by term from the
 listed gaps; it needs no Apéry set, only the gap set it is given.
 
-power_sums: numsemi.genera reads g_n off the Apéry set through a telescoping
-recurrence.  This route raises every listed gap to every power and adds.
+power_sums: numsemi.genera solves for g_n from the moments of a Hilbert
+numerator.  This route raises every listed gap to every power and adds.
 
 derivative_genera: g_1..g_3 as derivatives of Phi at z = 1, the paper's
 route.  It differentiates Phi with its own derivative and shares neither the

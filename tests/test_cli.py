@@ -15,7 +15,13 @@ import numsemi
 import numsemi.cli as cli
 import numsemi.core
 import numsemi.relation
-from numsemi import AperySet, genus1_closed_3d, validate_generators
+from numsemi import (
+    AperySet,
+    genera2_closed,
+    genus1_closed_3d,
+    sylvester_closed,
+    validate_generators,
+)
 from numsemi.cli import main
 from numsemi.errors import ValidationError
 
@@ -268,6 +274,16 @@ def test_genera_large_triple_reads_off_apery(capsys):
     assert code == 0 and err == ""
     g1 = genus1_closed_3d(validate_generators((10001, 10003, 20003)))
     assert out == f"g_0 = 25010000\ng_1 = {g1}\n"
+
+
+def test_genera_large_pair_reads_sylvesters_q(capsys):
+    # Q = 1 - z^(d_1 d_2) answers at once where Ap(S, d_1) would take d_1 steps
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "genera", "1999999", "2000001")
+    assert time.monotonic() - t0 < 0.1
+    assert code == 0 and err == ""
+    values = [sylvester_closed(1999999, 2000001).G, *genera2_closed(1999999, 2000001)]
+    assert out == "".join(f"g_{n} = {v}\n" for n, v in enumerate(values))
 
 
 def test_family_at_fifty_digits(capsys):

@@ -19,6 +19,7 @@ from numsemi import (
     frobenius_genus,
     gap_set,
     genera,
+    genera2_closed,
     hilbert_numerator,
     is_representable,
     is_symmetric_gapset,
@@ -105,11 +106,13 @@ def test_gap_set_refuses_oversized_listings():
     assert apery_set(g).genus == 25_010_000
     with pytest.raises(TooManyGaps):
         gap_set(g)
-    # d1 - 1 > MAX_GAPS is refused before the Apéry set is built
+    # d1 - 1 > MAX_GAPS is refused before the Apéry set is built; genera
+    # reads Sylvester's Q instead
     huge = validate_generators((MAX_GAPS + 2, MAX_GAPS + 3))
-    for route in (gap_set, apery_set, genera):
+    for route in (gap_set, apery_set):
         with pytest.raises(TooManyGaps):
             route(huge)
+    assert genera(huge, 3)[1:] == list(genera2_closed(MAX_GAPS + 2, MAX_GAPS + 3))
 
 
 def test_validation_refuses_a_huge_apery_set():
@@ -185,10 +188,11 @@ def test_hilbert_numerator_four_generators():
 
 def test_triples_take_no_step_of_size_d1(monkeypatch):
     # Q, F and the genus of a triple are the relation matrix's closed forms,
-    # and past d_1 of about 30 its genera are read off Q: nothing builds
-    # Ap(S, d_1) or takes a round-robin step
+    # and past a d_1 of about 14 its genera at small n are solved off Q; a
+    # pair's come off Sylvester's Q: nothing builds Ap(S, d_1) or takes a
+    # round-robin step
     def refuse(*args, **kwargs):
-        raise AssertionError("a triple built its Apéry set")
+        raise AssertionError("a pair or a triple built its Apéry set")
     monkeypatch.setattr(numsemi.core, "_apery_w", refuse)
     monkeypatch.setattr(numsemi.core, "_round_robin", refuse)
     l = 10 ** 50
@@ -206,9 +210,12 @@ def test_triples_take_no_step_of_size_d1(monkeypatch):
         assert q.degree == F + g.sum() and genera(g, 3)[0] == G
         assert g._apery is None
     # two generators: Sylvester's closed forms
-    g = validate_generators((1999999, 2000001))
-    assert hilbert_numerator(g) == SparsePolynomial.one_minus_z(1999999 * 2000001)
-    assert frobenius_genus(g) == sylvester_closed(1999999, 2000001)[:2]
+    for elems in ((1999999, 2000001), (MAX_GAPS + 2, MAX_GAPS + 3)):
+        g = validate_generators(elems)
+        assert hilbert_numerator(g) == SparsePolynomial.one_minus_z(elems[0] * elems[1])
+        F, G = frobenius_genus(g)
+        assert (F, G) == sylvester_closed(*elems)[:2]
+        assert genera(g, 3) == [G, *genera2_closed(*elems)]
 
 
 def test_verify_hilbert_identity(sweep30_gaps):

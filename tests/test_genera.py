@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from numsemi import (
     GapSet,
     SparsePolynomial,
+    apery_set,
     gap_set,
     genera,
     genera2_closed,
     genus1_closed_3d,
+    hilbert_numerator,
     validate_generators,
 )
 from numsemi.errors import InvalidInput, SymmetricInput
+from numsemi.genera import _moment_solve
 from oracle import derivative, derivative_genera, gap_set_bitmask, power_sums
 
 
@@ -113,14 +116,20 @@ def _tuples(draw):
 @settings(deadline=None, max_examples=200)
 @given(_tuples(), st.integers(0, 40))
 def test_genera_recurrence_matches_bitmask_power_sums(elems, n):
+    # genera solves off one numerator per request; each is also solved on its
+    # own, Ap(S, d_1) on every tuple and Q for m <= 3
     g = validate_generators(elems)
-    assert genera(g, n) == power_sums(gap_set_bitmask(g), n)
+    want = power_sums(gap_set_bitmask(g), n)
+    assert genera(g, n) == want
+    assert _moment_solve((g[0],), apery_set(g).w, None, n) == want
+    if g.m <= 3:
+        assert _moment_solve(g.elements, *zip(*hilbert_numerator(g).items()), n) == want
 
 
 def test_genera_budget_counts_the_recurrences():
-    # at small d_1 the O(n^2) big-integer recurrences dominate; the largest n
-    # the budget admits still answers well inside half a second
-    for elems, n in (((2, 3), 722), ((3, 5), 607), ((5, 7), 519)):
+    # at small d_1 the O(n^2) big-integer products of the solve dominate; the
+    # largest n the budget admits still answers well inside half a second
+    for elems, n in (((2, 3), 800), ((3, 5), 625), ((5, 7), 591)):
         g = validate_generators(elems)
         with pytest.raises(InvalidInput):
             genera(g, n + 1)
@@ -130,18 +139,20 @@ def test_genera_budget_counts_the_recurrences():
 
 
 def test_genera_of_a_triple_takes_the_cheaper_route():
-    # off Q, in O(n^2) products with no step of size d_1, the largest
-    # admitted n passes the Apéry route's (113, 393 and 270); for a tiny d_1
-    # and a huge d_3 the d_1 steps are cheaper and the Apéry route answers.
-    # Each still answers well inside half a second
-    for elems, n in (((10001, 10003, 20003), 267), ((23, 29, 44), 430),
-                     ((563, 775, 903), 320), ((3, 10 ** 40 + 1, 10 ** 40 + 3), 252)):
+    # the two large triples are solved off Q, with no step of size d_1; at
+    # (23, 29, 44) the O(n^2) products dominate and the Apéry set's smaller
+    # h = 1 + d_1 wins, and for a tiny d_1 and a huge d_3 the d_1 steps are
+    # cheaper.  Each still answers well inside half a second
+    for elems, n, via_q in (((10001, 10003, 20003), 272, True), ((23, 29, 44), 460, False),
+                            ((563, 775, 903), 323, True),
+                            ((3, 10 ** 40 + 1, 10 ** 40 + 3), 259, False)):
         g = validate_generators(elems)
         with pytest.raises(InvalidInput):
             genera(g, n + 1)
         t0 = time.monotonic()
         assert len(genera(g, n)) == n + 1
         assert time.monotonic() - t0 < 0.5, elems
+        assert (g._apery is None) == via_q, elems
 
 
 def test_genera_budget():
