@@ -15,11 +15,10 @@ from typing import Optional
 from .core import Generators, representable_pair, validate_generators
 from .errors import (
     DimensionUnsupported,
-    InternalMismatch,
     InvalidInput,
     NuTooLarge,
 )
-from .relation import RelationMatrix
+from .relation import RelationMatrix, relation_matrix
 
 
 @dataclass(frozen=True)
@@ -171,27 +170,19 @@ class FamilyMember:
 def counterexample_family(l: int) -> FamilyMember:
     """Member (2l+1, 2l+3, 4l+3) of the family with F = 2l^2 + 3l - 1.
 
-    The relation matrix is written down in closed form and its row identities
-    re-verified.  Admissibility holds for l >= 2 with l not divisible by 3
-    (for l = 3j the outer pair shares the factor 3); primality of 2l+1 is
+    The relation matrix is g's own, read off the Klein sail in O(log l)
+    steps.  Admissibility holds for l >= 2 with l not divisible by 3 (for
+    l = 3j the outer pair shares the factor 3); primality of 2l+1 is
     reported as extra information, it is not required, and is None where
     2l+1 >= MR_LIMIT and is_prime cannot decide it.
     """
     if l < 1:
         raise InvalidInput(f"need l >= 1, got {l}")
     g = validate_generators((2 * l + 1, 2 * l + 3, 4 * l + 3))
-    A = RelationMatrix(
-        3,
-        (l + 3, l + 1, 2),
-        ((0, l, 1), (l, 0, 1), (3, 1, 0)),
-    )
-    bad = A.failing_row(g)
-    if bad:
-        raise InternalMismatch(f"family matrix row {bad[0]} fails for l = {l}")
     ok, reason = admissible(*g.elements)
     d1 = 2 * l + 1
     d1_prime = is_prime(d1) if d1 < MR_LIMIT else None
-    return FamilyMember(l, g, A, 2 * l * l + 3 * l - 1, ok, reason, d1_prime)
+    return FamilyMember(l, g, relation_matrix(g), 2 * l * l + 3 * l - 1, ok, reason, d1_prime)
 
 
 @dataclass(frozen=True)
@@ -208,17 +199,13 @@ def _floor_lg2_64(C: Fraction) -> tuple:
     """(k, exact) with 2^k <= C^64 < 2^(k+1); exact iff C^64 == 2^k."""
     N = C.numerator ** 64
     D = C.denominator ** 64
-
-    def le(k):  # 2^k <= N/D ?
-        return (D << k) <= N if k >= 0 else D <= (N << -k)
-
+    # 2^(nb - 1) <= N < 2^nb and 2^(db - 1) <= D < 2^db put N/D strictly
+    # between 2^(k - 1) and 2^(k + 1) for k = nb - db
     k = N.bit_length() - D.bit_length()
-    while not le(k):
-        k -= 1
-    while le(k + 1):
-        k += 1
-    exact = (D << k) == N if k >= 0 else D == (N << -k)
-    return k, exact
+    lhs, rhs = (D << k, N) if k >= 0 else (D, N << -k)    # 2^k * D vs N
+    if lhs > rhs:
+        return k - 1, False
+    return k, lhs == rhs
 
 
 def critical_l(C, nu) -> CriticalL:

@@ -200,8 +200,6 @@ def _cmd_falsify(args):
                        "reason": member.reason, "d1_prime": member.d1_prime})
     else:
         g = validate_generators(args.triple)
-        if g.m != 3:
-            raise InvalidInput("falsify needs a triple")
         F = frobenius3(g).F
     check = conjecture_bound_check(g, F, C, nu)
     result.update({"triple": list(g.elements), "F": F, "holds": check.holds,

@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    Generators,
-    apery_set,
-    sift_generators,
-    sylvester_closed,
-    validate_generators,
-)
+from .core import Generators, frobenius_genus, sift_generators, validate_generators
 from .errors import (
     InternalMismatch,
     InvalidInput,
@@ -179,16 +173,10 @@ def frobenius_any(elements) -> int:
         raise InvalidInput(f"need positive integers, got {elements}")
     if math.gcd(*elems) != 1:
         raise InvalidInput(f"gcd of {elements} is not 1")
-    # drop reducible members so the closed forms see a minimal system
-    g = sift_generators(elems, drop=True)
-    elems = g.elements
     if elems[0] == 1:
         return -1
-    if len(elems) == 2:
-        return sylvester_closed(elems[0], elems[1]).F
-    if len(elems) == 3:
-        return frobenius3(g).F
-    return apery_set(g).frobenius
+    # drop reducible members so the closed forms see a minimal system
+    return frobenius_genus(sift_generators(elems, drop=True))[0]
 
 
 def johnson_reduce(d1: int, d2: int, d3: int) -> int:

@@ -251,29 +251,29 @@ def apery_set(g: Generators) -> AperySet:
 def gap_set(g: Generators) -> GapSet:
     """Exact gap set read off the Apéry set, in time linear in the genus.
 
-    Residue r holds the gaps r, r + d_1, ..., w[r] - d_1; read_rows lists
-    these runs in order without a sort.
     Raises TooManyGaps when the genus exceeds MAX_GAPS.
     """
-    d1 = g.elements[0]
-    ap = apery_set(g)
+    return _list_gaps(g, apery_set(g))
+
+
+def _list_gaps(g: Generators, ap: AperySet) -> GapSet:
+    """The gaps of g off ap = Ap(S, b), b = len(ap.w), for any generator b.
+
+    Residue r holds the gaps r, r + b, ..., w[r] - b.  Row k of these runs
+    holds the gaps in [k*b, (k+1)*b) in ascending order, so reading the rows
+    one after another lists them sorted in O(b + F) steps, with no sort.
+    Raises TooManyGaps, before listing, when the genus exceeds MAX_GAPS.
+    """
     genus = ap.genus
     if genus > MAX_GAPS:
         raise TooManyGaps(f"{g} has {genus} gaps, more than {MAX_GAPS}")
-    return GapSet(read_rows([range(r, w, d1) for r, w in enumerate(ap.w)]))
-
-
-def read_rows(runs: list) -> tuple:
-    """Union of runs r, r + s, r + 2s, ... of positive integers, one per
-    start r < s, given in increasing order of r.  Row k of the runs holds the
-    members in [k*s, (k+1)*s) in ascending order, so reading the rows one
-    after another lists the union sorted in O(s + max) steps, with no sort."""
-    # zip_longest pads the short runs with None; members are positive, so
+    b = len(ap.w)
+    # zip_longest pads the short runs with None; gaps are positive, so
     # filter(None, ...) drops exactly the padding.  Both tuples are built from
     # lists: tuple() of an iterator of unknown length grows by repeated
     # reallocation, and over many listings that raised peak RSS step by step.
-    rows = itertools.zip_longest(*runs)
-    return tuple(list(filter(None, itertools.chain.from_iterable(rows))))
+    rows = itertools.zip_longest(*[range(r, w, b) for r, w in enumerate(ap.w)])
+    return GapSet(tuple(list(filter(None, itertools.chain.from_iterable(rows)))))
 
 
 def is_symmetric_gapset(gs: GapSet) -> bool:
@@ -309,39 +309,39 @@ def sylvester_closed(d1: int, d2: int) -> SylvesterResult:
     return SylvesterResult(F, G, SparsePolynomial.one_minus_z(d1 * d2), 2 * G)
 
 
-def _closed3(g: Generators):
-    """frobenius3's closed forms of a triple, read off the relation matrix
-    with classify's Apéry cross-check left off."""
+def _closed_forms(g: Generators) -> Optional[tuple]:
+    """(F, G, Q) in closed form with no step of size d_1: Sylvester's for
+    m = 2, the relation matrix's for m = 3 (classify's Apéry cross-check left
+    off), and None for m >= 4, which have none."""
+    if g.m == 2:
+        return sylvester_closed(*g.elements)[:3]
+    if g.m != 3:
+        return None
     # closedform and relation import this module
     from .closedform import closed_form, symmetric_closed
     from .relation import classify, relation_matrix
     A = relation_matrix(g)
     cls = classify(g, A, cross_check=False)
-    return (symmetric_closed if cls.symmetric else closed_form)(g, A, cls)
+    cf = (symmetric_closed if cls.symmetric else closed_form)(g, A, cls)
+    return cf.F, cf.G, cf.Q
 
 
 def frobenius_genus(g: Generators) -> tuple:
-    """(F, G), with no step of size d_1 for m <= 3: Sylvester's closed forms
-    for m = 2, the relation matrix's for m = 3, and Ap(S, d_1) for m >= 4."""
-    if g.m == 2:
-        return sylvester_closed(*g.elements)[:2]
-    if g.m == 3:
-        cf = _closed3(g)
-        return cf.F, cf.G
+    """(F, G): the closed forms for m <= 3, Ap(S, d_1) for m >= 4."""
+    closed = _closed_forms(g)
+    if closed is not None:
+        return closed[:2]
     ap = apery_set(g)
     return ap.frobenius, ap.genus
 
 
 def hilbert_numerator(g: Generators) -> SparsePolynomial:
-    """Q with H = Q / prod(1 - z^d_j): 1 - z^(d_1 d_2) for m = 2, the
-    relation matrix's closed form for m = 3, and AperySet.numerator beyond.
-    For m <= 3 no step has size d_1.
+    """Q with H = Q / prod(1 - z^d_j): the closed form for m <= 3, with no
+    step of size d_1, and AperySet.numerator for m >= 4.
     """
-    if g.m == 2:
-        F, _, q, _ = sylvester_closed(*g.elements)
-    elif g.m == 3:
-        cf = _closed3(g)
-        F, q = cf.F, cf.Q
+    closed = _closed_forms(g)
+    if closed is not None:
+        F, _, q = closed
     else:
         ap = apery_set(g)
         F, q = ap.frobenius, ap.numerator(g)
@@ -350,4 +350,3 @@ def hilbert_numerator(g: Generators) -> SparsePolynomial:
             f"deg Q = {q.degree} != F + sum(d) = {F + g.sum()} for {g}"
         )
     return q
-

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MAX_GAPS, Generators, GapSet, apery_set, gap_set, read_rows, representable_pair
+from .core import (MAX_GAPS, AperySet, Generators, GapSet, _list_gaps, apery_set, gap_set,
+                   representable_pair)
 from .errors import (
     IdentityViolation,
     IndexOutOfRange,
@@ -133,16 +134,16 @@ def delta3_via_diagram(g: Generators) -> GapSet:
     in <b0, b1>.  Their union is a staircase: column q loses the cells
     p <= depth(q) = max {p_k : q_k >= q}, and keeps
     sigma(p, q) for depth(q) < p <= pb(q).  So one walk over k records p_k
-    at q_k, a suffix maximum turns that into depth, and the kept cells are
-    listed; neither the grid nor a box is built.  Column q is the run
-    r, r + b0, ... from r = -q*b1 mod b0, so taking the columns in order of r
-    (q = -r/b1 mod b0) lets core.read_rows list the kept gaps row by row,
-    ascending.  Cost O(acc + b0) steps for the depths, acc <= b0, plus
-    O(F + b0) for the listing.
+    at q_k, and a suffix maximum turns that into depth; neither the grid nor
+    a box is built.  Column q is the run of gaps r mod b0, r + b0, ... below
+    r - depth(q)*b0, with r = b1*(b0 - q), so that value is the Apéry
+    element w[r mod b0] of Ap(S, b0).  The Apéry vector built this way is
+    listed by the same core routine as gap_set.  Cost O(acc + b0) steps
+    for the depths, acc <= b0, plus O(F + b0) for the listing.
 
     Without a coprime pair, falls back to gap_set.
     Raises TooManyGaps when b0 - 1 or the genus exceeds MAX_GAPS, before
-    either is allocated.
+    either is listed.
     """
     if g.m != 3:
         raise InvalidInput(f"need a triple, got m={g.m}")
@@ -159,18 +160,13 @@ def delta3_via_diagram(g: Generators) -> GapSet:
     for p, q in _carver_points(carver, b0, b1):
         if p > depth[q]:
             depth[q] = p
-    # column q holds sigma = r - p*b0 with r = b1*(b0 - q), for 1 <= p <= r // b0
-    kept = 0
+    w = [0] * b0
     for q in range(b0 - 1, 0, -1):
         if depth[q] < depth[q + 1]:
             depth[q] = depth[q + 1]
-        kept += b1 * (b0 - q) // b0 - depth[q]
-    if kept > MAX_GAPS:
-        raise TooManyGaps(f"{g} has {kept} gaps, more than {MAX_GAPS}")
-    inv = pow(b1, -1, b0)           # the column starting at r is q = -r/b1 mod b0
-    runs = [range(b1 * (b0 - q) % b0, b1 * (b0 - q) - depth[q] * b0, b0)
-            for q in (-r * inv % b0 for r in range(1, b0))]
-    return GapSet(read_rows(runs))
+        r = b1 * (b0 - q)
+        w[r % b0] = r - depth[q] * b0
+    return _list_gaps(g, AperySet(tuple(w)))
 
 
 @dataclass(frozen=True)

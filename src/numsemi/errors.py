@@ -79,7 +79,9 @@ class TooManyGaps(ValidationError):
 
 
 class OutputTooLarge(ValidationError):
-    """A result has more decimal digits than int-to-str conversion allows."""
+    """A result is too large to print: a value has more decimal digits than
+    int-to-str conversion allows, or a diagram has more than
+    diagrams.MAX_PICTURE_CELLS cells."""
 
 
 # --- invariant violations --------------------------------------------------

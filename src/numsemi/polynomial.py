@@ -51,10 +51,9 @@ class SparsePolynomial:
     def from_exponents(cls, exps) -> "SparsePolynomial":
         """Sum of z^e over the (multi)set of exponents."""
         p = cls()
+        t = p._terms
         for e in exps:
-            p._terms[e] = p._terms.get(e, 0) + 1
-            if not p._terms[e]:
-                del p._terms[e]
+            t[e] = t.get(e, 0) + 1
         return p
 
     # views

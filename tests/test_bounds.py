@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from numsemi import (
+    RelationMatrix,
     admissible,
     conjecture_bound_check,
     counterexample_family,
@@ -138,9 +139,13 @@ def test_family_frobenius_matches_oracle():
 
 
 def test_family_matrix_is_the_relation_matrix():
+    # the paper's closed-form matrix of the family, against the sail walk
     for l in [*range(1, 41), *(10 ** k for k in range(2, 51))]:
+        g = validate_generators((2 * l + 1, 2 * l + 3, 4 * l + 3))
+        assert relation_matrix(g) == RelationMatrix(
+            3, (l + 3, l + 1, 2), ((0, l, 1), (l, 0, 1), (3, 1, 0))), l
         m = counterexample_family(l)
-        assert m.matrix == relation_matrix(m.generators), l
+        assert m.matrix == relation_matrix(g), l
         assert all(verify_standard_form(m.generators, m.matrix).values()), l
         cf = frobenius3(m.generators, m.matrix)
         assert cf.F == m.F
@@ -173,6 +178,10 @@ def test_critical_l_values():
     assert c3.exact is None and c3.l_cr is None
     assert c3.low == Fraction(165, 32) and c3.high == Fraction(83, 16)
     assert c3.low < c3.high
+    # C^64 = 2^-37.4...: the guess 2^-37 from the bit lengths is one too high
+    c4 = critical_l(Fraction(2, 3), Fraction(1, 2))
+    assert c4.exact is None
+    assert c4.low == Fraction(13, 16) and c4.high == Fraction(27, 32)
 
     with pytest.raises(NuTooLarge):
         critical_l(Fraction(1), Fraction(2, 3))

@@ -117,6 +117,11 @@ def test_hilbert_output(capsys):
     assert out.splitlines()[0] == "1 - z^10 - z^12 + z^22"
     assert "degree = 22" in out
     assert "nonzero_count = 4" in out
+    # m = 4: F and the genus off the Apéry set
+    code, out, _ = run(capsys, "hilbert", "4", "21", "26", "43", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["F"], res["genus"], res["degree"]) == ("39", "21", "133")
 
 
 def test_hilbert_large_triple_reads_f_and_genus_off_apery(capsys):
@@ -385,6 +390,9 @@ def test_falsify_family_member(capsys):
     assert "verdict = HOLDS" in out
     assert "triple = (5, 7, 11)" in out
     assert "admissible = true" in out
+    code, out, _ = run(capsys, "falsify", "--nu", "5/8", "--l", "3")
+    assert code == 0
+    assert "admissible = false\nreason = common factor gcd(9, 15) = 3\n" in out
 
 
 def test_falsify_family_member_past_the_primality_limit(capsys):
@@ -564,6 +572,13 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: InternalMismatch")
+
+    # any other ValueError is a bug, not the digit limit: it is not mapped
+    def broken(g):
+        raise ValueError("negative degree -1")
+    monkeypatch.setattr(cli, "apery_set", broken)
+    with pytest.raises(ValueError, match="negative degree"):
+        main(["frob", "23", "29", "44", "--verify"])
 
 
 def test_diagram_delta3_without_coprime_pair_exits_2(capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import numsemi.core
 from numsemi import (
     MAX_GAPS,
+    GapSet,
     Generators,
     SparsePolynomial,
     apery_set,
@@ -33,7 +34,7 @@ from oracle import gap_set_bitmask, phi_polynomial, reachable_mask, verify_hilbe
 
 def test_validate_sorts_and_normalizes():
     g = validate_generators([44, 23, 29])
-    assert g.elements == (23, 29, 44)
+    assert g.elements == (23, 29, 44) == tuple(g)
     assert g.m == 3
     assert g.sum() == 96
     assert g.product() == 29348
@@ -160,6 +161,7 @@ def test_is_symmetric_gapset():
     assert is_symmetric_gapset(gap_set(validate_generators((6, 10, 15))))
     assert not is_symmetric_gapset(gap_set(validate_generators((3, 4, 5))))
     assert not is_symmetric_gapset(gap_set(validate_generators((23, 29, 44))))
+    assert not is_symmetric_gapset(GapSet(()))  # no Frobenius number
 
 
 def test_phi_polynomial():
@@ -295,6 +297,7 @@ def test_apery_route_matches_bitmask_oracle(g):
     ap = apery_set(g)
     assert gap_set(g) == oracle
     assert (ap.frobenius, ap.genus) == (oracle.frobenius, oracle.genus)
+    assert frobenius_genus(g) == (oracle.frobenius, oracle.genus)
     assert ap.is_symmetric() == is_symmetric_gapset(oracle)
     if g.m == 3:
         assert classify(g, cross_check=False).symmetric == is_symmetric_gapset(oracle)

@@ -107,6 +107,8 @@ def test_associated_set_goldens():
         associated_set(g, 3)  # a33 = 3
     with pytest.raises(NotCoprime):
         associated_set(validate_generators((4, 6, 9)), 1)
+    with pytest.raises(InvalidInput, match="m=4"):
+        associated_set(validate_generators((4, 21, 26, 43)), 1)
 
 
 def test_associated_sets_contain_pair_frobenius(sweep30_gaps):
@@ -129,6 +131,8 @@ def test_delta3_goldens():
     assert gs.gaps == (1, 2, 3, 4, 6, 9, 11)
     assert gs.frobenius == 11 and gs.genus == 7
     assert delta3_via_diagram(validate_generators((4, 5, 6))).gaps == (1, 2, 3, 7)
+    with pytest.raises(InvalidInput, match="m=4"):
+        delta3_via_diagram(validate_generators((4, 21, 26, 43)))
 
 
 def test_delta3_base_pair_fallbacks():
@@ -287,6 +291,8 @@ def test_lambda_set_goldens():
 
     with pytest.raises(SymmetricInput):
         lambda_set(validate_generators((4, 5, 6)))
+    with pytest.raises(InvalidInput, match="m=4"):
+        lambda_set(validate_generators((4, 21, 26, 43)))
 
 
 def test_lambda_set_verify_rejects_a_wrong_matrix():

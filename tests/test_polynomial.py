@@ -38,6 +38,9 @@ def test_product_golden():
     assert p.degree == 22
     assert p.coeff(10) == -1
     assert p.coeff(11) == 0
+    assert (3 * p).items() == [(0, 3), (10, -3), (12, -3), (22, 3)] and (p * 0).is_zero()
+    assert bool(p) and not SparsePolynomial.zero()
+    assert hash(p) == hash(SparsePolynomial({22: 1, 12: -1, 10: -1, 0: 1}))
 
 
 def test_geometric_telescopes():
