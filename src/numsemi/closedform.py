@@ -47,7 +47,7 @@ def _inner_cross_j(g: Generators, A: RelationMatrix) -> tuple:
     cross = (a(2, 2) * a(1, 1) * d2 * d1 + a(3, 3) * a(1, 1) * d3 * d1
              + a(3, 3) * a(2, 2) * d3 * d2) - d1 * d2 * d3
     disc = inner * inner - 4 * cross
-    root = math.isqrt(disc)
+    root = math.isqrt(max(disc, 0))  # a wrong matrix can make disc negative
     alt = abs(a(1, 2) * a(2, 3) * a(3, 1) - a(1, 3) * a(3, 2) * a(2, 1))
     if root * root != disc or root != alt:
         raise InternalMismatch(

@@ -311,18 +311,14 @@ def sylvester_closed(d1: int, d2: int) -> SylvesterResult:
 
 def _closed_forms(g: Generators) -> Optional[tuple]:
     """(F, G, Q) in closed form with no step of size d_1: Sylvester's for
-    m = 2, the relation matrix's for m = 3 (classify's Apéry cross-check left
-    off), and None for m >= 4, which have none."""
+    m = 2, `frobenius3`'s, whose verdict `classify` checks, for m = 3, and
+    None for m >= 4, which have none."""
     if g.m == 2:
         return sylvester_closed(*g.elements)[:3]
     if g.m != 3:
         return None
-    # closedform and relation import this module
-    from .closedform import closed_form, symmetric_closed
-    from .relation import classify, relation_matrix
-    A = relation_matrix(g)
-    cls = classify(g, A, cross_check=False)
-    cf = (symmetric_closed if cls.symmetric else closed_form)(g, A, cls)
+    from .closedform import frobenius3  # closedform imports this module
+    cf = frobenius3(g)
     return cf.F, cf.G, cf.Q
 
 

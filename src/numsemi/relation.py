@@ -184,14 +184,21 @@ def relation_matrix(g: Generators) -> RelationMatrix:
     return g._relation
 
 
-def classify(g: Generators, A: Optional[RelationMatrix] = None,
-             cross_check: Optional[bool] = None) -> Classification:
-    """Symmetric iff some diagonal products a_ii*d_i collide.
+def _complete_intersection(d: tuple) -> bool:
+    """Herzog's second symmetry criterion for a minimal triple: some pair
+    shares a factor f > 1 and the third generator lies in <d_i/f, d_j/f>."""
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        f = math.gcd(d[i], d[j])
+        if f > 1 and pair_witness(d[k], d[i] // f, d[j] // f) is not None:
+            return True
+    return False
 
-    The matrix verdict is cross-checked against the definition-based Apéry
-    symmetry test, an O(d_1) pass, whenever d_1 <= 2236 = floor(sqrt(5*10^6))
-    (or cross_check=True).
-    """
+
+def classify(g: Generators, A: Optional[RelationMatrix] = None,
+             cross_check: bool = True) -> Classification:
+    """Symmetric iff some diagonal products a_ii*d_i collide; unless
+    cross_check is False, checked against the complete-intersection test,
+    O(log d_3) steps on the generators alone (Herzog, Manuscripta Math. 3)."""
     if g.m != 3:
         raise DimensionUnsupported(f"classify needs m=3, got m={g.m}")
     if A is None:
@@ -206,9 +213,8 @@ def classify(g: Generators, A: Optional[RelationMatrix] = None,
             raise InternalMismatch(
                 f"collision {collision} != lcm({di},{dk}) = {math.lcm(di, dk)}")
     symmetric = pair is not None
-    if cross_check or (cross_check is None and g.elements[0] <= 2236):
-        if apery_set(g).is_symmetric() != symmetric:
-            raise InternalMismatch(f"matrix/definition symmetry disagree for {g}")
+    if cross_check and _complete_intersection(g.elements) != symmetric:
+        raise InternalMismatch(f"matrix/complete-intersection symmetry disagree for {g}")
     return Classification(symmetric, pair, collision)
 
 

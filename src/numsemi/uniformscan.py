@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedform import closed_form
+from .closedform import frobenius3
 from .core import validate_generators
 from .errors import InternalMismatch, InvalidInput, NonIntegerResult, ValidationError
-from .relation import RelationMatrix, classify, relation_matrix
+from .relation import RelationMatrix, relation_matrix
 
 
 # Most candidate matrices scan_uniform forms: a = 31 with no pruning by
@@ -90,10 +90,8 @@ def scan_uniform(a: int, d3_max: int):
         A = relation_matrix(g)
         if A.diag != (a, a, a):
             continue
-        cls = classify(g, A, cross_check=False)
-        if cls.symmetric:
-            raise InternalMismatch(f"uniform diagonal yet symmetric: {g}")
-        cf = closed_form(g, A, cls)
+        # a uniform diagonal has no collision: the checked non-symmetric form
+        cf = frobenius3(g, A)
         F, G = uniform_closed(a, g.elements)
         if (F, G) != (cf.F, cf.G):
             raise InternalMismatch(

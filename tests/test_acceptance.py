@@ -24,6 +24,7 @@ from numsemi import (
     genera2_closed,
     genus1_closed_3d,
     hilbert_numerator,
+    is_symmetric_gapset,
     j_invariant,
     lambda_set,
     lower_bounds,
@@ -184,7 +185,10 @@ def test_criterion_4_oracle_sweep(acceptance, sweep60):
     for e in sweep60:
         gs = gap_set_bitmask(e.g)
         assert gap_set(e.g) == gs, e.g
-        classify(e.g, e.A, cross_check=True)  # Apéry symmetry == matrix verdict
+        # the matrix verdict against the complete-intersection test, and
+        # against the definition on the oracle's gap set
+        classify(e.g, e.A, cross_check=True)
+        assert e.cls.symmetric == is_symmetric_gapset(gs), e.g
         assert (gs.frobenius, gs.genus) == (e.cf.F, e.cf.G), e.g
         # hilbert_numerator reads the matrix's closed form; the round-robin
         # set's Q is the one comparison of it that does not use the matrix

@@ -208,7 +208,7 @@ def test_family_at_fifty_digits_hilbert_and_genera(capsys):
 
 
 def test_frob_verify_builds_one_apery_set(capsys, monkeypatch):
-    # classify's cross-check, F, G and Q all read the same set: one pass
+    # the comparison of F, G and Q reads one set: one pass
     # adds d2 and d3 once each
     added = []
     real = numsemi.core._round_robin

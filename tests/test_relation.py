@@ -16,7 +16,9 @@ from numsemi import (
     RelationMatrix,
     apery_set,
     classify,
+    closed_form,
     diagonal_coefficient,
+    frobenius3,
     frobenius_genus,
     genera,
     hilbert_numerator,
@@ -149,6 +151,7 @@ def test_closed_forms_match_the_round_robin_set_on_large_triples(g):
     ap = apery_set(g)
     assert hilbert_numerator(g) == ap.numerator(g)
     assert frobenius_genus(g) == (ap.frobenius, ap.genus)
+    assert classify(g, cross_check=False).symmetric == ap.is_symmetric()
 
 
 @settings(deadline=None, max_examples=150)
@@ -336,31 +339,48 @@ def test_classify_cross_check_catches_a_wrong_verdict():
     with pytest.raises(InternalMismatch):
         classify(g, fake_non, cross_check=True)
     with pytest.raises(InternalMismatch):
-        classify(g, fake_non)  # below the gate the check runs by default
+        classify(g, fake_non)  # the check runs by default
+    # the discriminant of that matrix is negative: a typed error, not ValueError
+    with pytest.raises(InternalMismatch, match="J disagreement"):
+        closed_form(g, fake_non, classify(g, fake_non, cross_check=False))
+    # every m = 3 reader goes through the checked classification; unchecked,
+    # the closed forms would take fake_odd's collision at lcm(3, 4) = 12 and
+    # return F = 15 for (3, 4, 5)
+    fake_odd = RelationMatrix(3, (4, 3, 3), ((0, 1, 1), (1, 0, 1), (2, 1, 0)))
+    for elems, fake in (((4, 5, 6), fake_non), ((3, 4, 5), fake_odd)):
+        planted = validate_generators(elems)
+        object.__setattr__(planted, "_relation", fake)
+        for reader in (hilbert_numerator, frobenius_genus, frobenius3):
+            with pytest.raises(InternalMismatch):
+                reader(planted)
+    # at any size: a symmetric 41-digit triple whose fake diagonal has no collision
+    g = validate_generators((2 * (10 ** 40 + 1), 2 * (10 ** 40 + 3), 3 * 10 ** 40 + 7))
+    fake_big = RelationMatrix(3, (3, 3, 3), ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    assert not classify(g, fake_big, cross_check=False).symmetric
+    with pytest.raises(InternalMismatch):
+        classify(g, fake_big)
 
 
-def test_classify_cross_check_gate(monkeypatch):
-    # by default the O(d_1) Apéry check runs iff d_1 <= 2236
-    checked = []
-    apery_set = numsemi.relation.apery_set
+def test_classify_cross_check_builds_no_apery_set(monkeypatch):
+    # the complete-intersection test reads the generators alone, at any size
+    def refuse(*args):
+        raise AssertionError("classify built an Apéry set")
 
-    def spy(g):
-        checked.append(g.elements)
-        return apery_set(g)
-
-    monkeypatch.setattr(numsemi.relation, "apery_set", spy)
+    monkeypatch.setattr(numsemi.relation, "apery_set", refuse)
+    monkeypatch.setattr(numsemi.core, "_round_robin", refuse)
+    l = 10 ** 49
     expected = {
-        (2235, 2237, 2239): True,
+        (2235, 2237, 2239): False,
         (2237, 2239, 2241): False,
-        (1000, 1002, 4999): True,
+        (1000, 1002, 4999): False,
         (1000, 1002, 5001): True,
         (6, 74, 111): True,
         (6, 802, 1203): True,
+        (2 * (10 ** 40 + 1), 2 * (10 ** 40 + 3), 3 * 10 ** 40 + 7): True,
+        (2 * l + 1, 2 * l + 3, 4 * l + 3): False,
     }
-    for elems, runs in expected.items():
-        checked.clear()
-        classify(validate_generators(elems))
-        assert bool(checked) == runs, elems
+    for elems, symmetric in expected.items():
+        assert classify(validate_generators(elems)).symmetric == symmetric, elems
 
 
 def test_classify_dimension_guard():
